@@ -605,11 +605,11 @@ def run_recovery_benchmark(tmp: pathlib.Path) -> dict:
 def run_replay_benchmark(tmp: pathlib.Path) -> dict:
     """Full line-by-line replay vs snapshot-fold replay of the same
     >= 10^4-event sharded ledger (the coordinator-restart path)."""
-    from repro.distributed.ledger import ShardedLedger, replay_ledger
+    from repro.distributed.ledger import SweepLedger, replay_ledger
 
     root = tmp / "replay-ledger"
     keys = [f"{index:064d}" for index in range(REPLAY_EVENTS // 3)]
-    with ShardedLedger(root) as ledger:
+    with SweepLedger(root) as ledger:
         for index, key in enumerate(keys):
             ledger._append(
                 {"event": "scheduled", "key": key, "spec": {"name": key}},
@@ -786,12 +786,12 @@ def run_telemetry_overhead_benchmark(tmp: pathlib.Path) -> dict:
 def run_scrape_benchmark(tmp: pathlib.Path) -> dict:
     """A warm ``GET /metrics`` over a >= 10^4-point store backed by a
     compacted sharded ledger -- the steady-state monitoring scrape."""
-    from repro.distributed.ledger import ShardedLedger
+    from repro.distributed.ledger import SweepLedger
 
     cache = tmp / "scrape-store"
     build_seconds = build_synthetic_store(cache, PAGE_STORE_POINTS)
     root = tmp / "scrape-ledger"
-    with ShardedLedger(root) as ledger:
+    with SweepLedger(root) as ledger:
         for index in range(PAGE_STORE_POINTS):
             key = f"{index:064d}"
             ledger._append(

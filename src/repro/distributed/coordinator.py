@@ -71,7 +71,6 @@ from repro.distributed.ledger import (
     EVENT_CANCELLED,
     EVENT_SCHEDULED,
     EVENT_SUBMITTED,
-    ShardedLedger,
     SweepLedger,
     open_ledger,
 )
@@ -127,6 +126,11 @@ WAIT_DELAY = 0.2
 
 #: Seconds between ledger-tail polls in ``watch`` mode.
 WATCH_POLL_INTERVAL = 0.25
+
+#: Seconds an orderly drain waits, after writing SHUTDOWN, for workers
+#: to hang up before closing their connections (a worker busy with a
+#: point reads the frame only once the point finishes).
+SHUTDOWN_GRACE = 1.0
 
 #: Publish attempts per point before a store failure becomes terminal.
 #: Covers a transient hiccup (flaky NFS, momentary disk pressure)
@@ -206,7 +210,7 @@ class SweepCoordinator:
         self._publish_retries: collections.Counter[str] = (
             collections.Counter()
         )
-        self._ledger: SweepLedger | ShardedLedger | None = None
+        self._ledger: SweepLedger | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._complete: asyncio.Event | None = None
         self._stopped = False
@@ -229,11 +233,9 @@ class SweepCoordinator:
         self._lease_requeued: collections.Counter[str] = (
             collections.Counter()
         )
-        # Ledger-tail cursor (complete lines only; a torn tail stays
-        # unconsumed): a byte offset for the single-file layout, a
-        # per-shard offset map for the sharded one -- opaque here, the
-        # ledger's read_tail owns its meaning.
-        self._tail_cursor: Any = None
+        # Ledger-tail cursor: per-segment byte offsets, opaque here --
+        # the ledger's read_tail and compact own its meaning.
+        self._tail_cursor: dict[str, int] = {}
         # Cancellation: revoked point keys (subset of _by_key), the
         # sweeps already seen cancelled, and each submitted sweep's
         # membership (needed to resolve a cancel to keys).
@@ -245,7 +247,7 @@ class SweepCoordinator:
         # points of this coordinator's own spec file.  Carried on
         # every ASSIGN frame and every lifecycle ledger record.
         self._trace_by_key: dict[str, str] = {}
-        # Compact the sharded ledger whenever its uncompacted shard
+        # Compact a directory ledger whenever its uncompacted shard
         # bytes exceed this (None disables; ignored for file ledgers).
         if compact_tail_bytes is not None and compact_tail_bytes <= 0:
             raise ValueError(
@@ -309,18 +311,37 @@ class SweepCoordinator:
                     )
                 server.close()
                 await server.wait_closed()
-                # Drain handlers gracefully: closing each connection
-                # lands its reader on EOF, so no task dies mid-frame.
-                for writer in list(self._connections):
-                    writer.close()
-                if self._handlers:
-                    await asyncio.gather(
-                        *self._handlers, return_exceptions=True
-                    )
+                await self._close_connections(
+                    orderly=self._complete.is_set()
+                )
         finally:
             if self._ledger is not None:
                 self._ledger.close()
         return self._summary(time.perf_counter() - started)
+
+    async def _close_connections(self, orderly: bool) -> None:
+        """End every worker connection.
+
+        An orderly end (the queue drained, :meth:`request_stop`, or a
+        cancel emptied it) first writes SHUTDOWN on each and gives the
+        workers :data:`SHUTDOWN_GRACE` to hang up: a bare EOF means a
+        crash, and sends a worker into its reconnect window.  Closing
+        the rest lands each reader on EOF, so no task dies mid-frame.
+        """
+        if orderly:
+            for writer in list(self._connections):
+                try:
+                    await write_frame(writer, {"type": "shutdown"})
+                except (ConnectionError, OSError):
+                    pass  # already gone: its handler is ending anyway
+            if self._handlers:
+                await asyncio.wait(
+                    list(self._handlers), timeout=SHUTDOWN_GRACE
+                )
+        for writer in list(self._connections):
+            writer.close()
+        if self._handlers:
+            await asyncio.gather(*self._handlers, return_exceptions=True)
 
     def _maybe_complete(self) -> None:
         """End the serve loop when the queue drains (never in watch
@@ -424,16 +445,7 @@ class SweepCoordinator:
                 self._done.add(key)
                 self._resumed += 1
             elif have_result:
-                self._failed.pop(key, None)
-                self._done.add(key)
-                self._from_cache += 1
-                if self._ledger is not None:
-                    self._ledger.record_done(
-                        key,
-                        worker="cache",
-                        trace=self._trace_by_key.get(key),
-                    )
-                _RESULTS.inc(kind="cache")
+                self._done_from_cache(key)
             elif key in self._failed:
                 continue  # terminal failure with no result to trust
             elif key in self._cancelled:
@@ -442,6 +454,18 @@ class SweepCoordinator:
                 queued.add(key)
                 self._pending.append(key)
         self._update_queue_gauges()
+
+    def _done_from_cache(self, key: str) -> None:
+        """Someone already computed ``key`` (a serial run, a previous
+        sweep): existence is completion, ledgered as done by "cache"."""
+        self._failed.pop(key, None)
+        self._done.add(key)
+        self._from_cache += 1
+        if self._ledger is not None:
+            self._ledger.record_done(
+                key, worker="cache", trace=self._trace_by_key.get(key)
+            )
+        _RESULTS.inc(kind="cache")
 
     def _mint_traces(self) -> None:
         """One trace id per coordinator run for untraced spec-file
@@ -682,8 +706,11 @@ class SweepCoordinator:
             self._ingest_ledger_tail()
             self._maybe_compact()
 
-    def _ingest_ledger_tail(self) -> None:
-        """Ingest records appended to the ledger since the last poll.
+    def _ingest_ledger_tail(
+        self, records: list[dict[str, Any]] | None = None
+    ) -> None:
+        """Ingest records appended to the ledger since the last poll
+        (or ``records``, handed back by a compaction).
 
         ``scheduled`` records are adopted into the queue,
         ``submitted`` records teach sweep membership, ``cancelled``
@@ -696,9 +723,10 @@ class SweepCoordinator:
         ``_build_queue`` replayed -- a cheap no-op.
         """
         assert self._ledger is not None
-        records, self._tail_cursor = self._ledger.read_tail(
-            self._tail_cursor
-        )
+        if records is None:
+            records, self._tail_cursor = self._ledger.read_tail(
+                self._tail_cursor
+            )
         for record in records:
             event = record.get("event")
             if event == EVENT_SUBMITTED:
@@ -736,17 +764,7 @@ class SweepCoordinator:
             if isinstance(trace, str):
                 self._trace_by_key.setdefault(key, trace)
             if result_path(self._cache_dir, spec).exists():
-                # Someone already computed this point (a serial run, a
-                # previous sweep): existence is completion.
-                self._done.add(spec.key())
-                self._from_cache += 1
-                if self._ledger is not None:
-                    self._ledger.record_done(
-                        spec.key(),
-                        worker="cache",
-                        trace=self._trace_by_key.get(key),
-                    )
-                _RESULTS.inc(kind="cache")
+                self._done_from_cache(spec.key())
             elif spec.key() in self._cancelled:
                 continue  # scheduled after its sweep was revoked
             else:
@@ -754,20 +772,29 @@ class SweepCoordinator:
                 self._update_queue_gauges()
 
     def _maybe_compact(self) -> None:
-        """Fold the sharded ledger into its snapshot once the
+        """Fold a directory ledger into its snapshot once the
         uncompacted shard bytes cross the threshold.
 
         Inline on the event loop: the work is bounded by the threshold
         itself (we compact *because* the tail just crossed it), and
-        appends in this process serialize against the fold anyway.
+        appends in this process serialize against the fold anyway.  In
+        watch mode the compaction takes the tail cursor and hands back
+        what the retired shards held past it (a submit appended since
+        the last poll), ingested like a poll.
         """
-        if self._compact_tail_bytes is None or not isinstance(
-            self._ledger, ShardedLedger
+        ledger = self._ledger
+        if (
+            self._compact_tail_bytes is None
+            or ledger is None
+            or not ledger.sharded
+            or ledger.tail_size() < self._compact_tail_bytes
         ):
             return
-        if self._ledger.tail_size() >= self._compact_tail_bytes:
-            self._ledger.compact()
-            _COMPACTIONS.inc()
+        cursor = self._tail_cursor if self._watch else None
+        stats = ledger.compact(cursor)
+        _COMPACTIONS.inc()
+        if cursor is not None:
+            self._ingest_ledger_tail(stats["unread"])
 
     def _apply_cancel(self, sweep: str) -> None:
         """Revoke every live point of ``sweep`` (absorbing, idempotent).

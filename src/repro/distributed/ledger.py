@@ -34,28 +34,33 @@ write, the submit service and the coordinator can append to the same
 ledger from different processes without locking: lines interleave,
 they never tear.
 
-Two layouts share these semantics behind :func:`open_ledger`:
+A ledger is an optional ``snapshot.json`` plus ordered *segment*
+files, one class (:class:`SweepLedger`) whose path picks the layout:
 
-* :class:`SweepLedger` -- everything in one ``.jsonl`` file.  Simple,
-  great for one-shot sweeps; a long-lived ``--watch`` fabric tails an
-  ever-growing file.
-* :class:`ShardedLedger` -- a *directory*: one shard file per
-  submitted sweep under ``shards/`` (plus ``_unassigned.jsonl`` for
-  points no sweep claims), periodically folded into an atomic
-  ``snapshot.json`` by :meth:`ShardedLedger.compact`.  Replay is then
-  snapshot + surviving shard tails.  The fold is idempotent for every
+* a ``.jsonl`` path is a one-segment ledger -- the file itself.
+  Simple, great for one-shot sweeps; it never compacts, so a
+  long-lived ``--watch`` fabric tails an ever-growing file.
+* a path with no suffix is a *directory*: one segment per submitted
+  sweep under ``shards/`` (plus ``_unassigned.jsonl`` for points no
+  sweep claims), periodically folded into an atomic ``snapshot.json``
+  by :meth:`SweepLedger.compact`.  The fold is idempotent for every
   event type, which is what makes compaction crash-safe: a writer
   killed between the snapshot publish and the shard deletions leaves
   events folded twice on the next replay, never lost or un-folded.
 
-The fold itself is :func:`fold_record` -- one function shared by file
-replay, directory replay, snapshot restore and the property tests
-that prove the compacted fold equals the full fold.
+Replay (snapshot + every segment), the tail cursor (an offset per
+segment), the freshness stamp and the raw-record iterator are written
+once: the layout is consulted only to list the segments, to route an
+append and to refuse to compact a file.  The fold itself is
+:func:`fold_record` -- one function shared by replay, compaction,
+snapshot restore and the property tests that prove the compacted fold
+equals the full fold.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import threading
 import time
@@ -68,7 +73,6 @@ from repro.scenario.store import JsonlAppender, atomic_write_json, read_jsonl
 
 __all__ = [
     "LedgerState",
-    "ShardedLedger",
     "SweepLedger",
     "fold_record",
     "is_sharded",
@@ -94,7 +98,7 @@ _EVENTS = {
     EVENT_FAILED,
 }
 
-#: Files of the sharded layout.
+#: Files of the directory layout.
 SNAPSHOT_NAME = "snapshot.json"
 COMPACTION_META_NAME = "compaction-meta.json"
 SHARD_DIR_NAME = "shards"
@@ -248,14 +252,14 @@ def _state_from_dict(payload: dict[str, Any]) -> LedgerState:
     )
 
 
-# -- layout dispatch ----------------------------------------------------------
+# -- layout -------------------------------------------------------------------
 
 
 def is_sharded(path: str | pathlib.Path) -> bool:
-    """Whether ``path`` names (or should become) a sharded ledger.
+    """Whether ``path`` names (or should become) a directory ledger.
 
-    An existing directory is sharded; an existing file is not; a path
-    that exists as neither is sharded iff it has no file extension
+    An existing directory is one; an existing file is not; a path
+    that exists as neither is one iff it has no file extension
     (``results/ledger`` makes a directory, ``results/ledger.jsonl`` a
     file) -- so both CLIs and tests pick the layout by spelling.
     """
@@ -267,90 +271,38 @@ def is_sharded(path: str | pathlib.Path) -> bool:
     return path.suffix == ""
 
 
-def open_ledger(
-    path: str | pathlib.Path,
-) -> "SweepLedger | ShardedLedger":
-    """The append-side ledger for ``path``, whichever layout it is."""
-    if is_sharded(path):
-        return ShardedLedger(path)
+def open_ledger(path: str | pathlib.Path) -> "SweepLedger":
+    """The ledger at ``path``, whichever layout it is."""
     return SweepLedger(path)
 
 
 def replay_ledger(path: str | pathlib.Path) -> LedgerState:
     """Fold any ledger (file or directory) without opening appenders."""
-    path = pathlib.Path(path)
-    if is_sharded(path):
-        return _replay_dir(path)
-    return _replay_file(path)
+    return SweepLedger(path).replay()
 
 
-def iter_ledger_records(
-    path: str | pathlib.Path,
-) -> Iterator[Mapping[str, Any]]:
-    """Yield every *raw* surviving ledger record (no folding).
-
-    For consumers that need the per-event fields replay discards --
-    the ``ts`` stamps the timeline joins on, requeue reasons, elapsed
-    times.  A sharded ledger yields only its uncompacted shard events
-    (compaction folds the rest into the snapshot, erasing the raw
-    lines by design); torn tails are skipped, same as replay.
-    """
-    path = pathlib.Path(path)
-    if is_sharded(path):
-        shards = path / SHARD_DIR_NAME
-        files = sorted(shards.glob("*.jsonl")) if shards.is_dir() else []
-    else:
-        files = [path]
-    for file in files:
-        for record in read_jsonl(file, strict=False):
-            if isinstance(record, dict):
-                yield record
+def iter_ledger_records(path: str | pathlib.Path) -> Iterator[dict[str, Any]]:
+    """Every raw surviving record of a ledger (:meth:`SweepLedger.records`)."""
+    return SweepLedger(path).records()
 
 
 def ledger_stamp(path: str | pathlib.Path):
-    """A hashable freshness stamp: equal stamps imply equal replays.
-
-    Files stamp as ``(size, mtime_ns)``; directories as the sorted
-    tuple of every snapshot/shard file's ``(name, size, mtime_ns)``.
-    ``None`` when nothing exists yet.
-    """
-    path = pathlib.Path(path)
-    if path.is_dir():
-        parts = []
-        for file in sorted(
-            [path / SNAPSHOT_NAME, *(path / SHARD_DIR_NAME).glob("*.jsonl")]
-        ):
-            try:
-                stat = file.stat()
-            except OSError:
-                continue
-            parts.append((file.name, stat.st_size, stat.st_mtime_ns))
-        return tuple(parts) if parts else None
-    try:
-        stat = path.stat()
-    except OSError:
-        return None
-    return (stat.st_size, stat.st_mtime_ns)
-
-
-def _replay_file(path: pathlib.Path) -> LedgerState:
-    state = LedgerState()
-    for record in read_jsonl(path, strict=False):
-        fold_record(state, record, source=str(path))
-    return state
+    """The freshness stamp of a ledger (:meth:`SweepLedger.stamp`)."""
+    return SweepLedger(path).stamp()
 
 
 def _load_snapshot(root: pathlib.Path) -> tuple[int, LedgerState]:
     """``(generation, state)`` from ``snapshot.json`` (0 + empty if none).
 
     The snapshot is written atomically, so it either parses whole or
-    does not exist; a snapshot that exists but is malformed raises --
+    does not exist -- and a file ledger, whose root is the file itself,
+    never has one.  A snapshot that exists but is malformed raises:
     silently ignoring it would resurrect compacted-away work.
     """
     snapshot_path = root / SNAPSHOT_NAME
     try:
         payload = json.loads(snapshot_path.read_text())
-    except FileNotFoundError:
+    except (FileNotFoundError, NotADirectoryError):
         return 0, LedgerState()
     except (OSError, json.JSONDecodeError) as error:
         raise ValueError(
@@ -363,65 +315,111 @@ def _load_snapshot(root: pathlib.Path) -> tuple[int, LedgerState]:
     )
 
 
-def _replay_dir(root: pathlib.Path) -> LedgerState:
-    _, state = _load_snapshot(root)
-    shards = root / SHARD_DIR_NAME
-    if shards.is_dir():
-        for file in sorted(shards.glob("*.jsonl")):
-            for record in read_jsonl(file, strict=False):
-                fold_record(state, record, source=str(file))
-    return state
+def _file_stamp(file: pathlib.Path) -> tuple[str, int, int, int] | None:
+    """``(name, inode, size, mtime_ns)`` of ``file``; None if absent."""
+    try:
+        stat = file.stat()
+    except OSError:
+        return None
+    return (file.name, stat.st_ino, stat.st_size, stat.st_mtime_ns)
 
 
-def _parse_tail(data: bytes) -> tuple[list[dict[str, Any]], int]:
-    """``(records, consumed_bytes)`` of the complete lines in ``data``.
+def _read_records(file: pathlib.Path) -> Iterator[Any]:
+    """Every parseable record of one segment, torn lines skipped; none
+    if the segment vanished (a concurrent compaction unlinked it)."""
+    try:
+        yield from read_jsonl(file, strict=False)
+    except FileNotFoundError:
+        return
 
-    A torn final line stays unconsumed for the next poll; interior
+
+def _read_tail(
+    file: pathlib.Path, offset: int
+) -> tuple[list[dict[str, Any]], int]:
+    """``(records, new_offset)``: the complete lines of ``file`` past
+    ``offset`` (raises :class:`OSError` if it cannot be read).
+
+    A torn final line stays unconsumed for the next read; interior
     unparseable lines (crash artifacts isolated by boundary repair)
-    are skipped but their bytes are consumed.
+    are skipped but their bytes are consumed.  A file that shrank
+    under ``offset`` (rotated externally) is re-read from zero -- the
+    fold's idempotence makes re-seeing records safe.
     """
+    with open(file, "rb") as handle:
+        if os.fstat(handle.fileno()).st_size < offset:
+            offset = 0
+        handle.seek(offset)
+        data = handle.read()
     complete, newline, _ = data.rpartition(b"\n")
     if not newline:
-        return [], 0
+        return [], offset
     records = []
     for line in complete.splitlines():
-        if not line.strip():
-            continue
         try:
             record = json.loads(line)
-        except (json.JSONDecodeError, UnicodeDecodeError):
+        except ValueError:  # a torn fragment, or a blank line
             continue
         if isinstance(record, dict):
             records.append(record)
-    return records, len(complete) + 1
+    return records, offset + len(complete) + 1
+
+
+def _shard_name(sweep: str) -> str:
+    # Sweep ids are sha256 hex (filesystem-safe); anything foreign is
+    # sanitized to keep the directory listable.
+    safe = "".join(ch if ch.isalnum() or ch in "-_." else "_" for ch in sweep)
+    return safe or UNASSIGNED_SHARD
 
 
 class SweepLedger:
-    """Append-side API over one single-file ledger.
+    """A ledger: an optional snapshot plus ordered segment files.
+
+    The path picks the layout (:func:`is_sharded`): a ``.jsonl`` file
+    is its own one segment; a directory holds::
+
+        snapshot.json             atomic fold of everything compacted
+        compaction-meta.json      small stamp: generation, time, counts
+        shards/<sweep-id>.jsonl   events of one submitted sweep
+        shards/_unassigned.jsonl  events no sweep claims (spec-file
+                                  points, foreign keys)
 
     Writers are the coordinator (lifecycle events) and the submit
-    service (``scheduled``/``submitted``/``cancelled`` batches) --
-    safe concurrently because every record is one whole-line
-    ``O_APPEND`` write.  Readers use :meth:`replay` or the classmethod
-    :meth:`replay_path` (which also dispatches sharded directories).
+    service (``scheduled``/``submitted``/``cancelled`` batches).
+    Opening a ledger touches nothing on disk: a segment file (and its
+    directory) appears with its first append.
+
+    In a directory, lifecycle events route to the shard of the sweep
+    that submitted their key (learned from ``submitted`` records at
+    replay, at tail reads, or from this process's own submits), so one
+    sweep's churn stays in one file and :meth:`compact` can retire
+    whole sweeps at a time.  Routing is an *optimization*, never a
+    correctness requirement: replay folds every segment, so a record
+    landing in ``_unassigned`` is merely less tidy.
     """
 
     def __init__(self, path: str | pathlib.Path) -> None:
         self._path = pathlib.Path(path)
-        # Terminal events ("done"/"failed") fsync per record -- they
-        # must survive a crash, or a resumed coordinator would re-run
-        # points whose results it already has.  "scheduled"/"claimed"
-        # records skip the flush: losing one only costs a reschedule or
-        # a stale-claim diagnostic, and per-assignment fsyncs would
-        # serialize the whole fabric on disk latency.
-        self._appender = JsonlAppender(
-            self._path, fsync=False, fault_site="ledger.append"
-        )
+        self._sharded = is_sharded(self._path)
+        self._appenders: dict[pathlib.Path, JsonlAppender] = {}
+        self._routes: dict[str, str] = {}
+        self._routes_loaded = False
+        self._lock = threading.Lock()
 
     @property
     def path(self) -> pathlib.Path:
-        """The ledger file."""
+        """The ledger file, or the root directory."""
         return self._path
+
+    @property
+    def sharded(self) -> bool:
+        """Whether this is a directory ledger (the layout that compacts)."""
+        return self._sharded
+
+    def _segments(self) -> list[pathlib.Path]:
+        """The segment files in fold order: the file, or every shard."""
+        if not self._sharded:
+            return [self._path]
+        return sorted((self._path / SHARD_DIR_NAME).glob("*.jsonl"))
 
     # -- append side --------------------------------------------------------
 
@@ -437,11 +435,14 @@ class SweepLedger:
         ``already_scheduled`` lets a caller that just replayed the
         ledger pass the known keys instead of paying a second full
         replay here; ``sweep`` labels the records with the submitting
-        sweep id (and, in the sharded layout, routes them to its
-        shard); ``traces`` maps keys to the trace ids minted at
-        submit, stamped onto the records so the ids survive any crash
-        the sweep itself survives.
+        sweep id (and, in a directory, routes them and every later
+        lifecycle event of their keys to its shard); ``traces`` maps
+        keys to the trace ids minted at submit, stamped onto the
+        records so the ids survive any crash the sweep itself survives.
         """
+        specs = list(specs)
+        if sweep is not None:
+            self._note_routes(sweep, (spec.key() for spec in specs))
         if already_scheduled is None:
             already_scheduled = set(self.replay().scheduled)
         for spec in specs:
@@ -457,16 +458,28 @@ class SweepLedger:
                 record["sweep"] = sweep
             if traces is not None and key in traces:
                 record["trace"] = traces[key]
-            self._append(record)
+            self._append(record, sweep=sweep)
+
+    def _record_key(
+        self,
+        event: str,
+        key: str,
+        worker: str,
+        trace: str | None,
+        fsync: bool | None = None,
+        **fields: Any,
+    ) -> None:
+        """Append one lifecycle event of ``key`` (traced when known)."""
+        record = {"event": event, "key": key, "worker": worker, **fields}
+        if trace is not None:
+            record["trace"] = trace
+        self._append(record, fsync=fsync)
 
     def record_claimed(
         self, key: str, worker: str, trace: str | None = None
     ) -> None:
         """A worker claimed ``key``."""
-        record = {"event": EVENT_CLAIMED, "key": key, "worker": worker}
-        if trace is not None:
-            record["trace"] = trace
-        self._append(record)
+        self._record_key(EVENT_CLAIMED, key, worker, trace)
 
     def record_requeued(
         self,
@@ -485,21 +498,10 @@ class SweepLedger:
         ``reason`` (``lease-expired``, ``connection-lost``,
         ``coordinator-restart``) for the timeline to attribute.
         """
-        record: dict[str, Any] = {
-            "event": EVENT_REQUEUED,
-            "key": key,
-            "worker": worker,
-            "reason": reason,
-        }
-        if trace is not None:
-            record["trace"] = trace
-        self._append(record)
+        self._record_key(EVENT_REQUEUED, key, worker, trace, reason=reason)
 
     def record_submitted(
-        self,
-        sweep: str,
-        keys: Iterable[str],
-        name: str | None = None,
+        self, sweep: str, keys: Iterable[str], name: str | None = None
     ) -> None:
         """Group ``keys`` under one submitted sweep id.
 
@@ -508,11 +510,7 @@ class SweepLedger:
         batch of ``scheduled`` records on the same descriptor) is the
         last line of that promise -- the flush covers the whole batch.
         """
-        record: dict[str, Any] = {
-            "event": EVENT_SUBMITTED,
-            "sweep": sweep,
-            "keys": list(keys),
-        }
+        record = {"event": EVENT_SUBMITTED, "sweep": sweep, "keys": list(keys)}
         if name is not None:
             record["name"] = name
         self._append(record, fsync=True, sweep=sweep)
@@ -523,11 +521,8 @@ class SweepLedger:
         Fsynced: a 200 from ``POST /cancel`` promises the revocation
         survives any crash -- losing it would resurrect the sweep.
         """
-        self._append(
-            {"event": EVENT_CANCELLED, "sweep": sweep},
-            fsync=True,
-            sweep=sweep,
-        )
+        record = {"event": EVENT_CANCELLED, "sweep": sweep}
+        self._append(record, fsync=True, sweep=sweep)
 
     def record_done(
         self,
@@ -537,30 +532,16 @@ class SweepLedger:
         trace: str | None = None,
     ) -> None:
         """``key`` finished and its result is durably stored."""
-        record: dict[str, Any] = {
-            "event": EVENT_DONE,
-            "key": key,
-            "worker": worker,
-        }
-        if elapsed is not None:
-            record["elapsed"] = float(elapsed)
-        if trace is not None:
-            record["trace"] = trace
-        self._append(record, fsync=True)
+        fields = {} if elapsed is None else {"elapsed": float(elapsed)}
+        self._record_key(EVENT_DONE, key, worker, trace, fsync=True, **fields)
 
     def record_failed(
         self, key: str, worker: str, error: str, trace: str | None = None
     ) -> None:
         """``key`` raised while executing (terminal: not requeued)."""
-        record: dict[str, Any] = {
-            "event": EVENT_FAILED,
-            "key": key,
-            "worker": worker,
-            "error": str(error),
-        }
-        if trace is not None:
-            record["trace"] = trace
-        self._append(record, fsync=True)
+        self._record_key(
+            EVENT_FAILED, key, worker, trace, fsync=True, error=str(error)
+        )
 
     def _append(
         self,
@@ -568,133 +549,54 @@ class SweepLedger:
         fsync: bool | None = None,
         sweep: str | None = None,
     ) -> None:
-        # ``sweep`` is routing advice for the sharded subclass; the
-        # single file ignores it.  Every record is wall-clock stamped
-        # at append time -- the raw-record timestamps the timeline's
-        # queue-wait/total columns are computed from.
+        # Every record is wall-clock stamped at append time -- the
+        # raw-record timestamps the timeline's queue-wait/total columns
+        # are computed from.  Terminal events ("done"/"failed") fsync
+        # per record -- they must survive a crash, or a resumed
+        # coordinator would re-run points whose results it already
+        # has.  "scheduled"/"claimed" records skip the flush: losing one
+        # only costs a reschedule or a stale-claim diagnostic, and
+        # per-assignment fsyncs would serialize the whole fabric on
+        # disk latency.
         record.setdefault("ts", round(time.time(), 6))
-        self._appender.append(record, fsync=fsync)
+        segment = self._segment_for(record, sweep)
+        with self._lock:
+            appender = self._appenders.get(segment)
+            if appender is None:
+                appender = self._appenders[segment] = JsonlAppender(
+                    segment, fsync=False, fault_site="ledger.append"
+                )
+            appender.append(record, fsync=fsync)
 
-    def close(self) -> None:
-        """Release the append descriptor."""
-        self._appender.close()
+    def _segment_for(
+        self, record: dict[str, Any], sweep: str | None
+    ) -> pathlib.Path:
+        """The segment ``record`` appends to: the file itself, or in a
+        directory the shard of ``sweep`` (routing advice from the submit
+        path), else of the sweep that submitted the record's key."""
+        if not self._sharded:
+            return self._path
+        if sweep is not None:
+            self._learn_routes((record,))
+            shard = _shard_name(sweep)
+        else:
+            self._ensure_routes()
+            shard = self._routes.get(str(record.get("key")), UNASSIGNED_SHARD)
+        return self._path / SHARD_DIR_NAME / f"{shard}.jsonl"
 
-    def __enter__(self) -> "SweepLedger":
-        return self
+    def _note_routes(self, sweep: str, keys: Iterable[Any]) -> None:
+        if self._sharded:
+            shard = _shard_name(sweep)
+            for key in keys:
+                self._routes[str(key)] = shard
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # -- replay side --------------------------------------------------------
-
-    def replay(self) -> LedgerState:
-        """Fold this ledger's event stream (see :meth:`replay_path`)."""
-        return _replay_file(self._path)
-
-    @classmethod
-    def replay_path(cls, path: str | pathlib.Path) -> LedgerState:
-        """Fold a ledger (file *or* sharded directory) into per-key
-        terminal state.
-
-        Tolerates unparseable fragment lines (crash-mid-append
-        artifacts, isolated by the appender's boundary repair; losing
-        one only re-runs idempotent work), but raises on records that
-        parse yet carry a malformed event -- a ledger that lies about
-        ``done`` points must fail loudly, not resume quietly.
-        """
-        return replay_ledger(path)
-
-    def read_tail(
-        self, cursor: int | None = None
-    ) -> tuple[list[dict[str, Any]], int]:
-        """``(records, new_cursor)`` appended since ``cursor``.
-
-        Complete lines only -- a torn final line stays unconsumed for
-        the next poll.  A file that shrank under the cursor (rotated
-        externally) is re-read from zero; the fold's idempotence makes
-        re-seeing records safe.
-        """
-        offset = int(cursor or 0)
-        try:
-            size = self._path.stat().st_size
-            if size < offset:
-                offset = 0
-            with open(self._path, "rb") as handle:
-                handle.seek(offset)
-                data = handle.read()
-        except OSError:
-            return [], offset
-        records, consumed = _parse_tail(data)
-        return records, offset + consumed
-
-
-class ShardedLedger(SweepLedger):
-    """A directory ledger: per-sweep shards + snapshot compaction.
-
-    Layout under the root directory::
-
-        snapshot.json             atomic fold of everything compacted
-        compaction-meta.json      small stamp: generation, time, counts
-        shards/<sweep-id>.jsonl   events of one submitted sweep
-        shards/_unassigned.jsonl  events no sweep claims (spec-file
-                                  points, foreign keys)
-
-    Lifecycle events route to the shard of the sweep that submitted
-    their key (learned from ``submitted`` records at replay, at tail
-    ingestion, or from this process's own submits), so one sweep's
-    churn stays in one file and :meth:`compact` can retire whole
-    sweeps at a time.  Routing is an *optimization*, never a
-    correctness requirement: replay folds every shard, so a record
-    landing in ``_unassigned`` is merely less tidy.
-
-    Multi-process safety of :meth:`compact` (same discipline as the
-    rest of the store layer -- no locks, only atomic publishes):
-
-    1. fold snapshot + every shard, remembering each shard's size at
-       fold time;
-    2. publish the new snapshot via ``atomic_write_json``;
-    3. delete only shards whose size is *unchanged* since step 1 --
-       a shard another process appended to meanwhile survives, and
-       its already-folded prefix simply folds again next replay
-       (idempotent).
-
-    A crash anywhere leaves either the old snapshot + all shards or
-    the new snapshot + a subset of shards -- both replay to the same
-    state.
-    """
-
-    def __init__(self, path: str | pathlib.Path) -> None:
-        self._root = pathlib.Path(path)
-        self._shards = self._root / SHARD_DIR_NAME
-        self._shards.mkdir(parents=True, exist_ok=True)
-        self._appenders: dict[str, JsonlAppender] = {}
-        self._routes: dict[str, str] = {}
-        self._routes_loaded = False
-        self._lock = threading.Lock()
-        # NOTE: deliberately no super().__init__ -- the single-file
-        # appender does not exist here.
-        self._path = self._root
-
-    @property
-    def path(self) -> pathlib.Path:
-        """The ledger root directory."""
-        return self._root
-
-    # -- routing -------------------------------------------------------------
-
-    @staticmethod
-    def _shard_name(sweep: str) -> str:
-        # Sweep ids are sha256 hex (filesystem-safe); anything foreign
-        # is sanitized to keep the directory listable.
-        safe = "".join(
-            ch if ch.isalnum() or ch in "-_." else "_" for ch in sweep
-        )
-        return safe or UNASSIGNED_SHARD
-
-    def _note_routes(self, sweep: str, keys: Iterable[str]) -> None:
-        shard = self._shard_name(sweep)
-        for key in keys:
-            self._routes[key] = shard
+    def _learn_routes(self, records: Iterable[dict[str, Any]]) -> None:
+        """Route the keys of every ``submitted`` record among ``records``."""
+        for record in records:
+            if record.get("event") == EVENT_SUBMITTED and isinstance(
+                record.get("sweep"), str
+            ):
+                self._note_routes(record["sweep"], record.get("keys", []))
 
     def _ensure_routes(self) -> None:
         """Learn key->shard routing from a replay, once, lazily.
@@ -705,224 +607,207 @@ class ShardedLedger(SweepLedger):
         if self._routes_loaded:
             return
         self._routes_loaded = True
-        state = self.replay()
-        for sweep, keys in state.sweeps.items():
+        for sweep, keys in self.replay().sweeps.items():
             self._note_routes(sweep, keys)
 
-    def _appender(self, shard: str) -> JsonlAppender:
-        appender = self._appenders.get(shard)
-        if appender is None:
-            appender = JsonlAppender(
-                self._shards / f"{shard}.jsonl",
-                fsync=False,
-                fault_site="ledger.append",
-            )
-            self._appenders[shard] = appender
-        return appender
-
-    def _append(
-        self,
-        record: dict[str, Any],
-        fsync: bool | None = None,
-        sweep: str | None = None,
-    ) -> None:
-        record.setdefault("ts", round(time.time(), 6))
-        if sweep is not None:
-            shard = self._shard_name(sweep)
-            if record.get("event") == EVENT_SUBMITTED:
-                self._note_routes(sweep, record.get("keys", []))
-        else:
-            self._ensure_routes()
-            shard = self._routes.get(
-                str(record.get("key")), UNASSIGNED_SHARD
-            )
-        with self._lock:
-            self._appender(shard).append(record, fsync=fsync)
-
-    def record_scheduled(
-        self,
-        specs: Iterable[ScenarioSpec],
-        already_scheduled: set[str] | None = None,
-        sweep: str | None = None,
-        traces: Mapping[str, str] | None = None,
-    ) -> None:
-        if sweep is not None:
-            # Route the whole batch (and all later lifecycle events of
-            # these keys) to the submitting sweep's shard.
-            specs = list(specs)
-            self._note_routes(sweep, (spec.key() for spec in specs))
-            if already_scheduled is None:
-                already_scheduled = set(self.replay().scheduled)
-            for spec in specs:
-                key = spec.key()
-                if key in already_scheduled:
-                    continue
-                record: dict[str, Any] = {
-                    "event": EVENT_SCHEDULED,
-                    "key": key,
-                    "spec": spec.to_dict(),
-                    "sweep": sweep,
-                }
-                if traces is not None and key in traces:
-                    record["trace"] = traces[key]
-                self._append(record, sweep=sweep)
-            return
-        super().record_scheduled(specs, already_scheduled, sweep=None, traces=traces)
-
     def close(self) -> None:
+        """Release every append descriptor."""
         with self._lock:
             for appender in self._appenders.values():
                 appender.close()
             self._appenders.clear()
 
-    # -- replay / tail -------------------------------------------------------
+    def __enter__(self) -> "SweepLedger":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    # -- read side ----------------------------------------------------------
 
     def replay(self) -> LedgerState:
-        return _replay_dir(self._root)
+        """Fold the snapshot and every segment into per-key state.
+
+        Tolerates unparseable fragment lines (crash-mid-append
+        artifacts, isolated by the appender's boundary repair; losing
+        one only re-runs idempotent work), but raises on records that
+        parse yet carry a malformed event -- a ledger that lies about
+        ``done`` points must fail loudly, not resume quietly.
+        """
+        return self._fold()[1]
+
+    def _fold(self) -> tuple[int, LedgerState, list[tuple]]:
+        """``(generation, state, [(segment, size before, records)])``.
+
+        Atomic against a :meth:`compact` in any process: that publishes
+        its snapshot *before* it unlinks the segments it folded, so a
+        fold that started from the old snapshot and then missed those
+        segments finds the snapshot moved, and folds again.
+        """
+        snapshot = self._path / SNAPSHOT_NAME
+        while True:
+            stamp = _file_stamp(snapshot)
+            generation, state = _load_snapshot(self._path)
+            folded = []
+            for segment in self._segments():
+                try:
+                    size = segment.stat().st_size
+                except OSError:
+                    continue
+                records = 0
+                for record in _read_records(segment):
+                    fold_record(state, record, source=str(segment))
+                    records += 1
+                folded.append((segment, size, records))
+            if _file_stamp(snapshot) == stamp:
+                return generation, state, folded
+
+    def records(self) -> Iterator[dict[str, Any]]:
+        """Yield every *raw* surviving record of the segments (no folding).
+
+        For consumers that need the per-event fields replay discards --
+        the ``ts`` stamps the timeline joins on, requeue reasons,
+        elapsed times.  Compacted records are gone (folded into the
+        snapshot by design); torn tails are skipped, same as replay.
+        """
+        for segment in self._segments():
+            for record in _read_records(segment):
+                if isinstance(record, dict):
+                    yield record
+
+    def stamp(self) -> tuple | None:
+        """A hashable freshness stamp: equal stamps imply equal replays.
+
+        The ``(name, inode, size, mtime_ns)`` of the snapshot and of
+        every segment, so an append, a fresh snapshot *and* a
+        compaction that deleted segments all change it.  ``None`` when
+        nothing exists yet.
+        """
+        files = (self._path / SNAPSHOT_NAME, *self._segments())
+        return tuple(filter(None, map(_file_stamp, files))) or None
 
     def read_tail(
         self, cursor: dict[str, int] | None = None
     ) -> tuple[list[dict[str, Any]], dict[str, int]]:
-        """``(records, new_cursor)`` across every shard since ``cursor``.
+        """``(records, new_cursor)``: complete lines appended since
+        ``cursor``.
 
-        The cursor maps shard file names to byte offsets.  A shard
-        that vanished (compacted away) drops from the cursor; one that
-        reappears (new events for an old sweep) re-reads from zero --
-        safe, because the fold is idempotent and the coordinator
-        skips events it already knows.  ``submitted`` records seen
-        here also teach this instance key->shard routing, so a
-        resident coordinator keeps routing fresh sweeps correctly.
+        The cursor maps segment file names to byte offsets (``None``
+        reads everything).  A torn final line stays unconsumed for the
+        next poll.  A segment that vanished (compacted away) drops from
+        the cursor; one that reappears (new events for an old sweep)
+        re-reads from zero -- safe, because the fold is idempotent and
+        the coordinator skips events it already knows.  ``submitted``
+        records seen here also teach this instance key->shard routing,
+        so a resident coordinator keeps routing fresh sweeps correctly.
         """
         cursor = dict(cursor or {})
         records: list[dict[str, Any]] = []
-        try:
-            files = sorted(self._shards.glob("*.jsonl"))
-        except OSError:
-            return records, cursor
-        live = set()
-        for file in files:
-            name = file.name
-            live.add(name)
-            offset = cursor.get(name, 0)
+        segments = self._segments()
+        for segment in segments:
             try:
-                size = file.stat().st_size
-                if size < offset:
-                    offset = 0
-                if size <= offset:
-                    continue
-                with open(file, "rb") as handle:
-                    handle.seek(offset)
-                    data = handle.read()
+                fresh, cursor[segment.name] = _read_tail(
+                    segment, cursor.get(segment.name, 0)
+                )
             except OSError:
                 continue
-            fresh, consumed = _parse_tail(data)
-            if consumed:
-                cursor[name] = offset + consumed
-            for record in fresh:
-                if record.get("event") == EVENT_SUBMITTED and isinstance(
-                    record.get("sweep"), str
-                ):
-                    self._note_routes(
-                        record["sweep"],
-                        [str(key) for key in record.get("keys", [])],
-                    )
             records.extend(fresh)
-        for name in list(cursor):
-            if name not in live:
-                del cursor[name]
+        for name in set(cursor) - {segment.name for segment in segments}:
+            del cursor[name]
+        self._learn_routes(records)
         return records, cursor
 
-    # -- compaction ----------------------------------------------------------
+    def shard_stats(self) -> dict[str, int]:
+        """``{segment file name: size in bytes}`` (for ``/healthz``)."""
+        stamps = filter(None, map(_file_stamp, self._segments()))
+        return {name: size for name, _, size, _ in stamps}
 
     def tail_size(self) -> int:
-        """Total bytes of uncompacted shard events (the compaction
+        """Total bytes of uncompacted segment events (the compaction
         trigger a resident coordinator watches)."""
-        total = 0
-        try:
-            for file in self._shards.glob("*.jsonl"):
-                try:
-                    total += file.stat().st_size
-                except OSError:
-                    continue
-        except OSError:
-            return 0
-        return total
+        return sum(self.shard_stats().values())
 
     def last_compaction(self) -> dict[str, Any] | None:
         """The small stamp of the newest :meth:`compact` (or None)."""
         try:
             payload = json.loads(
-                (self._root / COMPACTION_META_NAME).read_text()
+                (self._path / COMPACTION_META_NAME).read_text()
             )
         except (OSError, json.JSONDecodeError):
             return None
         return payload if isinstance(payload, dict) else None
 
-    def shard_stats(self) -> dict[str, int]:
-        """``{shard file name: size in bytes}`` (for ``/healthz``)."""
-        stats: dict[str, int] = {}
-        try:
-            for file in sorted(self._shards.glob("*.jsonl")):
-                try:
-                    stats[file.name] = file.stat().st_size
-                except OSError:
-                    continue
-        except OSError:
-            pass
-        return stats
+    # -- compaction ----------------------------------------------------------
 
-    def compact(self) -> dict[str, Any]:
-        """Fold every shard into a fresh atomic snapshot; retire the
-        shards that did not move while we folded.
+    def compact(self, cursor: dict[str, int] | None = None) -> dict[str, Any]:
+        """Fold every segment into a fresh atomic snapshot; retire the
+        segments that did not move while we folded (a file ledger has
+        no snapshot: :class:`ValueError`).
 
-        Returns the compaction stats (also written to
-        ``compaction-meta.json``).  Safe against a crash at any point
-        and against concurrent appenders in other processes -- see the
-        class docstring for the protocol.
+        Returns the stats also written to ``compaction-meta.json``.
+        ``cursor`` is the :meth:`read_tail` cursor of a caller that
+        tails this ledger: the retired segments leave it (in place),
+        and the stats then also carry ``unread``, the records those
+        segments held past it -- which its tail would never see.
+
+        Multi-process safety, with no locks, only atomic publishes: (1)
+        fold as :meth:`replay` does, noting each segment's size; (2)
+        publish the new snapshot; (3) delete only segments whose size is
+        *unchanged* since (1) -- one another process appended to
+        survives, and its folded prefix folds again next replay
+        (idempotent).  A crash anywhere leaves the old snapshot + all
+        segments or the new one + a subset: both replay the same.
         """
+        if not self._sharded:
+            raise ValueError(f"{self._path}: a file ledger does not compact")
         with self._lock:
-            generation, state = _load_snapshot(self._root)
+            generation, state, folded = self._fold()
             faults.inject("ledger.compact", "fold")
-            folded: list[tuple[pathlib.Path, int]] = []
-            events = 0
-            for file in sorted(self._shards.glob("*.jsonl")):
-                try:
-                    size = file.stat().st_size
-                except OSError:
-                    continue
-                for record in read_jsonl(file, strict=False):
-                    fold_record(state, record, source=str(file))
-                    events += 1
-                folded.append((file, size))
-            stats = {
+            stats: dict[str, Any] = {
                 "generation": generation + 1,
                 "compacted_at": time.time(),
-                "events_folded": events,
+                "events_folded": sum(records for *_, records in folded),
                 "shards_folded": len(folded),
             }
             atomic_write_json(
-                self._root / SNAPSHOT_NAME,
+                self._path / SNAPSHOT_NAME,
                 {"version": 1, **stats, "state": _state_to_dict(state)},
             )
             # The crash window the chaos suite aims at: the new
-            # snapshot is live, the shards still hold their (now
+            # snapshot is live, the segments still hold their (now
             # doubly-represented) events.
             faults.inject("ledger.compact", "swap")
             removed = 0
-            for file, size in folded:
+            unread: list[dict[str, Any]] = []
+            for segment, size, _ in folded:
                 try:
-                    if file.stat().st_size != size:
+                    if segment.stat().st_size != size:
                         continue  # a foreign append landed: keep it
+                    if cursor is not None:
+                        # Unmoved since the fold: exactly the folded
+                        # records the caller has not read yet.
+                        records, _ = _read_tail(
+                            segment, cursor.pop(segment.name, 0)
+                        )
+                        unread.extend(records)
                 except OSError:
                     continue
-                appender = self._appenders.pop(file.stem, None)
+                appender = self._appenders.pop(segment, None)
                 if appender is not None:
                     appender.close()
                 try:
-                    file.unlink()
+                    segment.unlink()
                 except OSError:
                     continue
                 removed += 1
             stats["shards_removed"] = removed
-            atomic_write_json(self._root / COMPACTION_META_NAME, stats)
-            return stats
+            atomic_write_json(self._path / COMPACTION_META_NAME, stats)
+        if cursor is not None:
+            self._learn_routes(unread)
+            stats["unread"] = unread
+        return stats
+
+
+# An alias, not a class: the benchmark's probes (perfbench/) patch
+# ``replay`` and ``compact`` through this name.
+ShardedLedger = SweepLedger

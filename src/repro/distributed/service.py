@@ -56,9 +56,9 @@ files (atomically published, so a reader never observes a partial
 result), the append-only ledger, and the memoized index sidecar.
 Submits append whole ``O_APPEND`` lines, so they interleave safely
 with a live coordinator writing the same ledger from another process.
-Both ledger layouts are served: a single JSONL file, or the sharded
-directory (snapshot + per-sweep shards), whose freshness stamp covers
-every file a compaction may touch.
+Both ledger layouts are served: a single JSONL file, or a directory
+(snapshot + per-sweep shards); the freshness stamp covers every file a
+compaction may touch.
 
 The request-routing core (:meth:`ResultsService.respond` /
 :meth:`ResultsService.respond_post`) is a pure function of the path,
@@ -81,8 +81,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Mapping
 
 from repro.distributed.ledger import (
-    ShardedLedger,
-    is_sharded,
     ledger_stamp,
     open_ledger,
     replay_ledger,
@@ -145,11 +143,11 @@ _G_CANCELLED = obs_metrics.gauge(
 )
 _G_SHARDS = obs_metrics.gauge(
     "repro_ledger_shard_count",
-    "Uncompacted shard files of a sharded ledger",
+    "Uncompacted segment files of the ledger (1 for a file ledger)",
 )
 _G_TAIL = obs_metrics.gauge(
     "repro_ledger_tail_bytes",
-    "Uncompacted shard bytes of a sharded ledger",
+    "Uncompacted segment bytes of the ledger",
 )
 _G_GENERATION = obs_metrics.gauge(
     "repro_ledger_compaction_generation",
@@ -503,22 +501,13 @@ class ResultsService:
             _G_FAILED.set(len(state.failed))
             _G_REQUEUED.set(sum(state.requeues.values()))
             _G_CANCELLED.set(len(state.cancelled))
-        if is_sharded(self._ledger_path):
-            try:
-                ledger = ShardedLedger(self._ledger_path)
-            except OSError:
-                return
-            try:
-                stats = ledger.shard_stats()
-                _G_SHARDS.set(len(stats))
-                _G_TAIL.set(sum(stats.values()))
-                meta = ledger.last_compaction()
-                if meta is not None:
-                    _G_GENERATION.set(
-                        float(meta.get("generation", 0) or 0)
-                    )
-            finally:
-                ledger.close()
+        ledger = open_ledger(self._ledger_path)
+        stats = ledger.shard_stats()
+        _G_SHARDS.set(len(stats))
+        _G_TAIL.set(sum(stats.values()))
+        meta = ledger.last_compaction()
+        if meta is not None:
+            _G_GENERATION.set(float(meta.get("generation", 0) or 0))
 
     def _metrics(self) -> tuple[int, str, bytes]:
         """The whole default registry, Prometheus text format.
@@ -536,10 +525,10 @@ class ResultsService:
         """Liveness plus the fabric's load-bearing gauges.
 
         A monitor watching this one route sees queue pressure
-        (``backlog``), cancellations, and -- on a sharded ledger --
-        per-shard sizes and the last compaction stamp, so "the ledger
-        is growing without bound" and "compaction stopped happening"
-        are both one scrape away.
+        (``backlog``), cancellations, per-segment sizes and the last
+        compaction stamp (a file ledger is one segment and never
+        compacts), so "the ledger is growing without bound" and
+        "compaction stopped happening" are both one scrape away.
         """
         # /healthz and /metrics tell the same story from the same
         # sources: a hit on either refreshes the registry's gauges.
@@ -565,16 +554,12 @@ class ResultsService:
                 payload["backlog"] = len(state.pending)
                 payload["cancelled_sweeps"] = len(state.cancelled)
                 payload["requeued"] = sum(state.requeues.values())
-            if is_sharded(self._ledger_path):
-                ledger = ShardedLedger(self._ledger_path)
-                try:
-                    stats = ledger.shard_stats()
-                    payload["shards"] = stats
-                    payload["shard_count"] = len(stats)
-                    payload["tail_bytes"] = sum(stats.values())
-                    payload["last_compaction"] = ledger.last_compaction()
-                finally:
-                    ledger.close()
+            ledger = open_ledger(self._ledger_path)
+            stats = ledger.shard_stats()
+            payload["shards"] = stats
+            payload["shard_count"] = len(stats)
+            payload["tail_bytes"] = sum(stats.values())
+            payload["last_compaction"] = ledger.last_compaction()
         return self._json(200, payload)
 
     def _submit(
@@ -630,10 +615,8 @@ class ResultsService:
         trace = new_trace_id()
         with self._submit_lock:
             with open_ledger(self._ledger_path) as ledger:
-                # Opening the ledger created the file if needed, so
-                # the stamp-memoized replay is safe -- and O(new
-                # lines amortized) instead of a full re-parse per
-                # submit on a long-lived fabric.
+                # Stamp-memoized: a submit re-parses the ledger only
+                # if it changed since the last read.
                 state = self._replayed_ledger()
                 if identity in state.cancelled:
                     # Cancellation is absorbing: the same grid hashes
@@ -825,11 +808,9 @@ class ResultsService:
     def _replayed_ledger(self):
         """Replay the ledger, memoized on its freshness stamp.
 
-        The stamp covers whichever layout backs the path -- one
-        ``(size, mtime)`` pair for a JSONL file, the sorted per-file
-        tuple for a sharded directory (so an appended shard, a fresh
-        snapshot, *and* a compaction that deleted shards all
-        invalidate it).
+        The stamp covers the snapshot and every segment, whichever
+        layout backs the path (so an appended record, a fresh snapshot,
+        *and* a compaction that deleted shards all invalidate it).
         """
         stamp = ledger_stamp(self._ledger_path)
         with self._replay_lock:

@@ -359,6 +359,10 @@ async def worker_loop(
                         return _TORN  # coordinator died mid-ack
                     if reply is None:
                         return _TORN
+                    if reply.get("type") == "shutdown":
+                        # The coordinator drained while this point ran:
+                        # an orderly end, not an ack.
+                        return _DONE
                     if reply.get("type") == "error":
                         if reply.get("retryable"):
                             # Coordinator-side publish hiccup: the

@@ -38,7 +38,7 @@ import urllib.request
 
 import pytest
 
-from repro.distributed.ledger import SweepLedger
+from repro.distributed.ledger import SweepLedger, replay_ledger
 from repro.distributed.service import ResultsService
 from repro.scenario.runner import SweepRunner
 from repro.scenario.spec import load_scenario_document
@@ -141,7 +141,7 @@ def _assert_done_implies_published(ledger, cache, expected_keys) -> None:
     """The core durability invariant, checked after every kill."""
     if not ledger.exists():
         return
-    state = SweepLedger.replay_path(ledger)
+    state = replay_ledger(ledger)
     for key in state.done:
         assert (cache / f"{key}.json").exists(), (
             f"ledger says done but store has no file: {key}"
@@ -153,7 +153,7 @@ def _assert_done_implies_published(ledger, cache, expected_keys) -> None:
 def _ledger_complete(ledger, expected_keys) -> bool:
     if not ledger.exists():
         return False
-    state = SweepLedger.replay_path(ledger)
+    state = replay_ledger(ledger)
     return expected_keys <= state.done
 
 
@@ -205,7 +205,7 @@ def test_chaos_schedule_converges_to_serial_bytes(tmp_path, seed):
         with urllib.request.urlopen(request, timeout=10) as reply:
             submitted = json.loads(reply.read())
     assert submitted["points"] == len(specs)
-    state = SweepLedger.replay_path(ledger)
+    state = replay_ledger(ledger)
     assert set(state.scheduled) == expected_keys  # torn fragment isolated
     assert set(state.sweeps[submitted["sweep"]]) == expected_keys
 
@@ -254,7 +254,7 @@ def test_chaos_schedule_converges_to_serial_bytes(tmp_path, seed):
     assert kills["coordinator"] + kills["worker"] == KILL_ROUNDS
 
     # -- convergence ---------------------------------------------------------
-    state = SweepLedger.replay_path(ledger)
+    state = replay_ledger(ledger)
     assert expected_keys <= state.done
     assert not (set(state.failed) & expected_keys)
     serial_files = sorted(p.name for p in serial_dir.glob("*.json"))

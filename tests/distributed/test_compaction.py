@@ -1,6 +1,6 @@
 """Compaction correctness: the sharded ledger folds like the full one.
 
-The crash-safety story of :meth:`ShardedLedger.compact` rests on one
+The crash-safety story of :meth:`SweepLedger.compact` rests on one
 invariant -- the fold is idempotent for full streams, so replaying
 *snapshot + surviving shard tails* equals replaying every event ever
 appended, no matter where compaction (or a crash inside it) lands in
@@ -33,7 +33,6 @@ from repro.distributed import faults
 from repro.distributed.faults import FaultPlan, FaultRule
 from repro.distributed.ledger import (
     LedgerState,
-    ShardedLedger,
     SweepLedger,
     fold_record,
     open_ledger,
@@ -122,7 +121,7 @@ class TestCompactionUnit:
             ("scheduled", KEYS[2]),
             ("cancelled", "s1"),
         ]
-        with ShardedLedger(root) as sharded, ShardedLedger(twin) as plain:
+        with SweepLedger(root) as sharded, SweepLedger(twin) as plain:
             for event in events:
                 apply_event(sharded, event)
                 apply_event(plain, event)
@@ -136,7 +135,7 @@ class TestCompactionUnit:
 
     def test_compaction_is_idempotent(self, tmp_path):
         root = tmp_path / "ledger"
-        with ShardedLedger(root) as ledger:
+        with SweepLedger(root) as ledger:
             ledger.record_submitted("s1", KEYS[:2], name="grid")
             for key in KEYS[:2]:
                 apply_event(ledger, ("scheduled", key))
@@ -156,11 +155,11 @@ class TestCompactionUnit:
         the shard deletions must survive: compact only deletes shards
         whose size is unchanged since it folded them."""
         root = tmp_path / "ledger"
-        with ShardedLedger(root) as ledger:
+        with SweepLedger(root) as ledger:
             apply_event(ledger, ("scheduled", KEYS[0]))
             ledger.record_done(KEYS[0], "w0")
 
-            foreign = ShardedLedger(root)  # the racing writer
+            foreign = SweepLedger(root)  # the racing writer
             original = faults.inject
 
             def racing_inject(site, context=""):
@@ -180,7 +179,7 @@ class TestCompactionUnit:
 
     def test_tail_and_stats_reporting(self, tmp_path):
         root = tmp_path / "ledger"
-        with ShardedLedger(root) as ledger:
+        with SweepLedger(root) as ledger:
             assert ledger.last_compaction() is None
             ledger.record_submitted("s1", KEYS[:2], name="grid")
             apply_event(ledger, ("scheduled", KEYS[0]))
@@ -190,6 +189,75 @@ class TestCompactionUnit:
             assert ledger.tail_size() == 0
             stamp = ledger.last_compaction()
             assert stamp is not None and stamp["generation"] == 1
+
+
+class TestCompactionRaces:
+    def test_replay_racing_a_compaction_loses_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        """A compaction that publishes its snapshot and unlinks the
+        shards between a replay's snapshot load and its shard listing
+        must not drop their records: the replay sees the snapshot
+        moved and folds again."""
+        import repro.distributed.ledger as ledger_module
+
+        root = tmp_path / "ledger"
+        specs = [spec_for(f"race-{i}") for i in range(3)]
+        keys = [spec.key() for spec in specs]
+        with open_ledger(root) as ledger:
+            ledger.record_scheduled(specs, sweep="s1")
+            ledger.record_submitted("s1", keys, name="grid")
+        clean = replay_ledger(root)
+        assert len(clean.sweeps) == 1
+
+        load = ledger_module._load_snapshot
+        compacted = []
+
+        def load_then_compact(*args):
+            loaded = load(*args)
+            if not compacted:
+                compacted.append(True)
+                with open_ledger(root) as racer:
+                    racer.compact()
+            return loaded
+
+        monkeypatch.setattr(ledger_module, "_load_snapshot", load_then_compact)
+        raced = replay_ledger(root)
+        assert compacted  # the interleaving was forced
+        assert raced == clean
+
+    def test_watch_compaction_hands_the_tail_what_it_retires(self, tmp_path):
+        """A submit appended between a resident coordinator's tail poll
+        and its compaction is folded into the snapshot and its shard
+        unlinked; the compaction must hand those records to the
+        coordinator, or the points are never queued."""
+        from repro.distributed.coordinator import SweepCoordinator
+
+        root = tmp_path / "ledger"
+        specs = [spec_for(f"late-{i}") for i in range(3)]
+        keys = [spec.key() for spec in specs]
+        coordinator = SweepCoordinator(
+            [],
+            cache_dir=tmp_path / "cache",
+            ledger_path=root,
+            watch=True,
+            compact_tail_bytes=1,
+        )
+        coordinator._ledger = open_ledger(root)
+        try:
+            coordinator._build_queue()
+            coordinator._ingest_ledger_tail()
+            with open_ledger(root) as service:  # the submit service
+                service.record_scheduled(
+                    specs, already_scheduled=set(), sweep="late"
+                )
+                service.record_submitted("late", keys, name="late")
+            coordinator._maybe_compact()
+            coordinator._ingest_ledger_tail()
+        finally:
+            coordinator._ledger.close()
+        assert replay_ledger(root).pending == set(keys)
+        assert set(coordinator._pending) == set(keys)
 
 
 class TestCompactionProperty:
@@ -251,7 +319,7 @@ class TestCompactionProperty:
         with tempfile.TemporaryDirectory() as scratch:
             root = pathlib.Path(scratch) / "ledger"
             twin = pathlib.Path(scratch) / "twin"
-            with ShardedLedger(root) as sharded, ShardedLedger(
+            with SweepLedger(root) as sharded, SweepLedger(
                 twin
             ) as plain:
                 cursor = 0
@@ -391,7 +459,7 @@ class TestKillMidCompaction:
 
         SweepRunner(cache_dir=cache).sweep(specs)
         with open_ledger(ledger) as handle:
-            assert isinstance(handle, ShardedLedger)
+            assert handle.sharded
             handle.record_scheduled(specs)
             for spec in specs:
                 handle.record_done(spec.key(), "preload")

@@ -161,6 +161,46 @@ class TestTwoWorkerEquivalence:
         assert summary["done"] == 18
 
 
+class TestOrderlyDrain:
+    def test_drained_sweep_ends_workers_without_a_reconnect(self, tmp_path):
+        """A drained sweep ends its workers with SHUTDOWN, not EOF (which
+        means a crash): each worker returns at once instead of sitting
+        out a 30 s reconnect window -- the idle one (told to WAIT while
+        the only point ran) included."""
+        running = CoordinatorThread(
+            grid_18()[:1], cache_dir=tmp_path / "cache", await_workers=2
+        )
+        returned: dict[str, tuple[dict, float]] = {}
+
+        def drive(name: str) -> None:
+            stats = asyncio.run(
+                worker_loop(
+                    "127.0.0.1",
+                    running.port,
+                    worker_id=name,
+                    reconnect_timeout=30.0,
+                )
+            )
+            returned[name] = (stats, time.monotonic())
+
+        threads = [
+            threading.Thread(target=drive, args=(name,), daemon=True)
+            for name in ("w0", "w1")
+        ]
+        for thread in threads:
+            thread.start()
+        summary = running.join()
+        drained = time.monotonic()
+        for thread in threads:
+            thread.join(timeout=max(drained + 1.0 - time.monotonic(), 0.0))
+        assert summary["done"] == 1
+        assert sorted(returned) == ["w0", "w1"], "a worker outlived the drain"
+        for stats, when in returned.values():
+            assert when - drained < 1.0
+            assert stats["reconnects"] == 0
+        assert sum(stats["executed"] for stats, _ in returned.values()) == 1
+
+
 class TestWorkerCrash:
     def test_killed_worker_claim_is_requeued(self, tmp_path):
         """Claim a point, drop the connection mid-execution, and check
@@ -289,9 +329,9 @@ class TestFailures:
         assert "SpecError" in summary["failed"][bad.key()]
         assert sum(s["failed"] for s in stats) == 1
         # The failure is in the durable ledger too.
-        from repro.distributed.ledger import SweepLedger
+        from repro.distributed.ledger import replay_ledger
 
-        state = SweepLedger.replay_path(tmp_path / "ledger.jsonl")
+        state = replay_ledger(tmp_path / "ledger.jsonl")
         assert bad.key() in state.failed
 
 
@@ -522,9 +562,9 @@ class TestWorkerSideStore:
                 dist_dir / name
             ).read_bytes()
         # "done" was ledgered only after validation.
-        from repro.distributed.ledger import SweepLedger
+        from repro.distributed.ledger import replay_ledger
 
-        state = SweepLedger.replay_path(tmp_path / "ledger.jsonl")
+        state = replay_ledger(tmp_path / "ledger.jsonl")
         assert state.done == {spec.key() for spec in specs}
 
     def test_ref_to_a_store_the_coordinator_cannot_see_goes_terminal(
@@ -784,7 +824,7 @@ class TestCancellation:
         point stays "leased" after a cancel) and the worker's late
         RESULT frame is acked ``stored=False`` -- dropped, not an
         error, not a requeue."""
-        from repro.distributed.ledger import SweepLedger
+        from repro.distributed.ledger import SweepLedger, replay_ledger
         from repro.distributed.service import sweep_id
 
         specs = grid_18()[:4]
@@ -848,6 +888,6 @@ class TestCancellation:
         assert summary["done"] == 0 and summary["pending"] == 0
         assert list((tmp_path / "cache").glob("*.json")) == []
         # Replay agrees: nothing pending, nothing published.
-        state = SweepLedger.replay_path(ledger)
+        state = replay_ledger(ledger)
         assert state.pending == set()
         assert sweep in state.cancelled

@@ -23,7 +23,7 @@ import tempfile
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.distributed.ledger import LedgerState, SweepLedger
+from repro.distributed.ledger import LedgerState, SweepLedger, replay_ledger
 from repro.distributed.protocol import decode_frame, encode_frame
 
 # -- strategies --------------------------------------------------------------
@@ -172,8 +172,7 @@ def write_events(path: pathlib.Path, events) -> None:
         for event in events:
             kind, key = event[0], event[1]
             if kind == "scheduled":
-                appender = ledger._appender
-                appender.append(
+                ledger._append(
                     {"event": "scheduled", "key": key, "spec": {"name": key}}
                 )
             elif kind == "claimed":
@@ -197,7 +196,7 @@ class TestLedgerReplayProperties:
         with tempfile.TemporaryDirectory() as tmp:
             path = pathlib.Path(tmp) / "ledger.jsonl"
             write_events(path, events)
-            state = SweepLedger.replay_path(path)
+            state = replay_ledger(path)
         expected = reference_fold(events)
         assert state.done == expected.done
         assert set(state.failed) == set(expected.failed)
@@ -230,10 +229,10 @@ class TestLedgerReplayProperties:
         with tempfile.TemporaryDirectory() as tmp:
             path = pathlib.Path(tmp) / "ledger.jsonl"
             write_events(path, events)
-            intact = SweepLedger.replay_path(path)
+            intact = replay_ledger(path)
             with open(path, "ab") as handle:
                 handle.write(junk)
-            damaged = SweepLedger.replay_path(path)
+            damaged = replay_ledger(path)
         assert damaged.done == intact.done
         assert damaged.failed == intact.failed
         assert damaged.claims == intact.claims
@@ -252,10 +251,10 @@ class TestLedgerReplayProperties:
         with tempfile.TemporaryDirectory() as tmp:
             path = pathlib.Path(tmp) / "ledger.jsonl"
             write_events(path, events)
-            once = SweepLedger.replay_path(path)
+            once = replay_ledger(path)
             terminal = [e for e in events if e[0] in ("done", "failed")]
             write_events(path, terminal)
-            twice = SweepLedger.replay_path(path)
+            twice = replay_ledger(path)
         assert twice.done == once.done
         assert set(twice.failed) == set(once.failed)
         assert twice.pending == once.pending

@@ -8,7 +8,7 @@ import urllib.request
 import pytest
 
 from repro.core.parameters import ModelParameters
-from repro.distributed.ledger import SweepLedger
+from repro.distributed.ledger import SweepLedger, replay_ledger
 from repro.distributed.service import ResultsService
 from repro.scenario.runner import SweepRunner
 from repro.scenario.spec import ScenarioSpec, SweepSpec
@@ -89,6 +89,10 @@ class TestRoutes:
         payload = json.loads(body)
         assert payload["status"] == "ok"
         assert payload["results"] == 6
+        # A file ledger is one segment that never compacts.
+        assert payload["shard_count"] == 1
+        assert payload["shards"] == {"ledger.jsonl": payload["tail_bytes"]}
+        assert payload["last_compaction"] is None
 
     def test_progress_reflects_the_ledger(self, service):
         status, _, body = get(service, "/progress")
@@ -270,7 +274,7 @@ class TestSubmit:
                 spec.key()
                 for spec in load_scenario_document(GRID_DOCUMENT).expand()
             }
-            state = SweepLedger.replay_path(tmp_path / "ledger.jsonl")
+            state = replay_ledger(tmp_path / "ledger.jsonl")
             assert set(state.scheduled) == expected
             assert set(state.sweeps[reply["sweep"]]) == expected
             # The scheduled wire specs rebuild to the submitted grid.
@@ -312,7 +316,7 @@ class TestSubmit:
             _, second = post(service, "/submit", body)
             assert first["sweep"] == second["sweep"]
             assert second["new_points"] == 0
-            state = SweepLedger.replay_path(tmp_path / "ledger.jsonl")
+            state = replay_ledger(tmp_path / "ledger.jsonl")
             assert len(state.scheduled) == 6  # no duplicate scheduling
 
     def test_single_scenario_submits_as_one_point(self, tmp_path):
@@ -342,7 +346,7 @@ class TestSubmit:
                 assert status == 400, (body, reply)
                 assert "error" in reply
             # Nothing leaked into the ledger.
-            state = SweepLedger.replay_path(tmp_path / "ledger.jsonl")
+            state = replay_ledger(tmp_path / "ledger.jsonl")
             assert not state.scheduled and not state.sweeps
 
     def test_submit_without_ledger_is_503(self, tmp_path):
@@ -463,7 +467,7 @@ class TestCancel:
             )
             assert status == 200 and reply["already_cancelled"] is True
             # Durable: the record survives in the ledger itself.
-            state = SweepLedger.replay_path(tmp_path / "ledger.jsonl")
+            state = replay_ledger(tmp_path / "ledger.jsonl")
             assert sweep in state.cancelled
             assert state.pending == set()
 
@@ -573,7 +577,7 @@ class TestBackpressure:
             assert int(headers["Retry-After"]) > 0
             assert reply["backlog"] == 6 and reply["max_backlog"] == 4
             # The refused sweep left no trace in the ledger.
-            state = SweepLedger.replay_path(tmp_path / "ledger.jsonl")
+            state = replay_ledger(tmp_path / "ledger.jsonl")
             assert len(state.scheduled) == 6
             # /healthz shows the same pressure the 503 reported.
             health = json.loads(get(service, "/healthz")[2])
@@ -585,7 +589,6 @@ class TestHealthzGauges:
     def test_sharded_ledger_gauges(self, tmp_path):
         """On a sharded ledger /healthz exposes per-shard sizes, the
         last-compaction stamp and the backlog depth."""
-        from repro.distributed.ledger import ShardedLedger
 
         ledger = tmp_path / "ledger"  # directory: the sharded layout
         with ResultsService(
@@ -603,7 +606,7 @@ class TestHealthzGauges:
             (shard_name,) = health["shards"]
             assert health["shards"][shard_name] > 0
 
-            with ShardedLedger(ledger) as handle:
+            with SweepLedger(ledger) as handle:
                 handle.compact()
             health = json.loads(get(service, "/healthz")[2])
             assert health["shard_count"] == 0
@@ -619,7 +622,6 @@ class TestHealthzGauges:
         """``requeued`` in /healthz folds from the ledger (snapshot
         included), so it strictly increases across a requeue even
         after compaction erases the event record itself."""
-        from repro.distributed.ledger import ShardedLedger
         from repro.scenario.spec import load_scenario_document
 
         ledger = tmp_path / "ledger"
@@ -628,7 +630,7 @@ class TestHealthzGauges:
             tmp_path / "cache", ledger_path=ledger
         ).start() as service:
             post(service, "/submit", json.dumps(GRID_DOCUMENT).encode())
-            with ShardedLedger(ledger) as handle:
+            with SweepLedger(ledger) as handle:
                 key = specs[0].key()
                 handle.record_claimed(key, "w0")
                 handle.record_requeued(
@@ -694,6 +696,7 @@ class TestMetricsRoute:
         assert samples["repro_ledger_backlog"] == 1  # one still claimed
         assert samples["repro_ledger_done"] == 5
         assert samples["repro_ledger_requeued_total"] == 0
+        assert samples["repro_ledger_shard_count"] == 1  # the one file
 
     def test_requests_are_counted_by_route_template(self, service, populated):
         get(service, "/healthz")
