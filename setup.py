@@ -1,11 +1,24 @@
-"""Setuptools shim.
+"""Setuptools shim: all of the project's packaging metadata lives here.
 
-The offline environment ships no ``wheel`` package, so PEP-660 editable
-installs (``pip install -e .``) cannot build; ``python setup.py develop``
-installs the same editable egg-link without needing wheel.  All project
-metadata lives in ``pyproject.toml``.
+Without the ``wheel`` package, PEP-660 editable installs (``pip install
+-e .``) cannot build; ``python setup.py develop`` installs the same
+editable egg-link without it.  The version is read from
+``src/repro/__init__.py`` so it is written down once.
 """
 
-from setuptools import setup
+import pathlib
+import re
 
-setup()
+from setuptools import find_packages, setup
+
+INIT = pathlib.Path(__file__).parent / "src" / "repro" / "__init__.py"
+
+setup(
+    name="repro",
+    version=re.search(
+        r'^__version__ = "([^"]+)"', INIT.read_text(), re.MULTILINE
+    ).group(1),
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy", "scipy"],
+)

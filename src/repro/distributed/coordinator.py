@@ -60,10 +60,11 @@ from __future__ import annotations
 import asyncio
 import collections
 import json
+import math
 import pathlib
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable
 
 from repro.distributed import faults
@@ -79,47 +80,11 @@ from repro.distributed.protocol import (
     read_frame,
     write_frame,
 )
-from repro.obs import metrics as obs_metrics
 from repro.obs.trace import new_trace_id, span as obs_span
 from repro.scenario.spec import ScenarioSpec, SweepSpec
 from repro.scenario.store import result_path, store_result
 
 __all__ = ["SweepCoordinator"]
-
-_ASSIGNED = obs_metrics.counter(
-    "repro_coordinator_assigned_total",
-    "Points assigned to workers by this coordinator",
-)
-_RESULTS = obs_metrics.counter(
-    "repro_coordinator_results_total",
-    "Results accepted, by arrival kind",
-    ("kind",),
-)
-_REQUEUED = obs_metrics.counter(
-    "repro_coordinator_requeued_total",
-    "Points reclaimed from workers, by reason",
-    ("reason",),
-)
-_FAILED = obs_metrics.counter(
-    "repro_coordinator_failed_total",
-    "Points that reached terminal failure",
-)
-_PUBLISH_RETRIES = obs_metrics.counter(
-    "repro_coordinator_publish_retries_total",
-    "Store publishes that failed and requeued their point",
-)
-_COMPACTIONS = obs_metrics.counter(
-    "repro_ledger_compactions_total",
-    "Sharded-ledger compactions run by this process",
-)
-_PENDING = obs_metrics.gauge(
-    "repro_coordinator_pending",
-    "Points currently queued, awaiting assignment",
-)
-_IN_FLIGHT = obs_metrics.gauge(
-    "repro_coordinator_in_flight",
-    "Points currently assigned to a worker",
-)
 
 #: Seconds a worker is told to sleep when every point is in flight.
 WAIT_DELAY = 0.2
@@ -142,11 +107,19 @@ PUBLISH_RETRY_LIMIT = 3
 
 @dataclass
 class _Connection:
-    """Live per-connection state shared with the lease sweeper."""
+    """One worker connection: where to write, and who said hello."""
 
     writer: asyncio.StreamWriter
     worker: str = "<anonymous>"
-    assigned: set[str] = field(default_factory=set)
+
+
+@dataclass
+class _Claim:
+    """A live assignment: the connection holding the point, and the
+    lease deadline a HEARTBEAT pushes back (``math.inf``: leases off)."""
+
+    conn: _Connection
+    deadline: float
 
 
 class SweepCoordinator:
@@ -183,7 +156,6 @@ class SweepCoordinator:
         await_workers: int = 0,
         lease_timeout: float | None = None,
         watch: bool = False,
-        poll_interval: float = WATCH_POLL_INTERVAL,
         compact_tail_bytes: int | None = None,
     ) -> None:
         self._specs = (
@@ -203,7 +175,10 @@ class SweepCoordinator:
         self._pending: collections.deque[str] = collections.deque()
         self._done: set[str] = set()
         self._failed: dict[str, str] = {}
-        self._in_flight: dict[str, str] = {}
+        # The one record of who holds each point: the assign path adds
+        # a claim, heartbeats refresh it, and every release path --
+        # result, failure, expiry, disconnect, cancel -- pops it.
+        self._claims: dict[str, _Claim] = {}
         self._resumed = 0
         self._from_cache = 0
         self._computed_by: collections.Counter[str] = collections.Counter()
@@ -224,12 +199,6 @@ class SweepCoordinator:
             raise ValueError("watch mode requires a ledger_path")
         self._lease_timeout = lease_timeout
         self._watch = bool(watch)
-        self._poll_interval = float(poll_interval)
-        # Per-key lease bookkeeping (only populated when leases are on):
-        # the deadline clock plus the connection holding the assignment,
-        # so the sweeper can strip an expired key from the right set.
-        self._lease_deadline: dict[str, float] = {}
-        self._assigned_conn: dict[str, _Connection] = {}
         self._lease_requeued: collections.Counter[str] = (
             collections.Counter()
         )
@@ -406,19 +375,11 @@ class SweepCoordinator:
             # reclaimed.
             for key, worker in state.claims.items():
                 if (
-                    key not in self._by_key
-                    or key in state.done
-                    or key in state.failed
-                    or key in self._cancelled
+                    key in self._by_key
+                    and key not in state.done
+                    and not self._terminal(key)
                 ):
-                    continue
-                self._ledger.record_requeued(
-                    key,
-                    worker,
-                    reason="coordinator-restart",
-                    trace=self._trace_by_key.get(key),
-                )
-                _REQUEUED.inc(reason="coordinator-restart")
+                    self._record_requeued(key, worker, "coordinator-restart")
             self._mint_traces()
             self._ledger.record_scheduled(
                 self._specs,
@@ -427,45 +388,40 @@ class SweepCoordinator:
             )
         else:
             self._mint_traces()
-        queued: set[str] = set()
-        for spec in self._specs:
-            key = spec.key()
-            if key in self._done or key in queued:
-                continue  # duplicate grid point
-            # Existence is completion: the store only ever publishes
-            # whole files (atomic os.replace), so no payload parsing is
-            # needed to build the queue -- and a readable result always
-            # outranks a ledgered failure (the content address *is* the
-            # result identity, however it got computed).  The check
-            # also guards the one crash window the ledger cannot see:
-            # a power loss after the fsynced "done" line but before the
-            # renamed store file's directory entry reached disk.
-            have_result = result_path(self._cache_dir, spec).exists()
-            if key in previously_done and have_result:
-                self._done.add(key)
-                self._resumed += 1
-            elif have_result:
-                self._done_from_cache(key)
-            elif key in self._failed:
-                continue  # terminal failure with no result to trust
-            elif key in self._cancelled:
-                continue  # revoked sweep: never queued again
-            else:
-                queued.add(key)
-                self._pending.append(key)
-        self._update_queue_gauges()
+        for key, spec in self._by_key.items():
+            self._admit(key, spec, ledgered_done=key in previously_done)
 
-    def _done_from_cache(self, key: str) -> None:
-        """Someone already computed ``key`` (a serial run, a previous
-        sweep): existence is completion, ledgered as done by "cache"."""
-        self._failed.pop(key, None)
+    def _admit(
+        self, key: str, spec: ScenarioSpec, ledgered_done: bool = False
+    ) -> None:
+        """Queue ``key``, or complete it from the store.
+
+        Existence is completion: the store only ever publishes whole
+        files (atomic os.replace), so no payload parsing is needed to
+        build the queue -- and a readable result always outranks a
+        ledgered failure (the content address *is* the result
+        identity, however it got computed).  The check also guards the
+        one crash window the ledger cannot see: a power loss after the
+        fsynced "done" line but before the renamed store file's
+        directory entry reached disk.  A terminal point with no result
+        to trust (failed, or its sweep revoked) is never queued again.
+        """
+        if not result_path(self._cache_dir, spec).exists():
+            if not self._terminal(key):
+                self._pending.append(key)
+            return
         self._done.add(key)
+        if ledgered_done:
+            self._resumed += 1
+            return
+        # Someone already computed it (a serial run, a previous sweep):
+        # ledgered as done by "cache".
+        self._failed.pop(key, None)
         self._from_cache += 1
         if self._ledger is not None:
             self._ledger.record_done(
                 key, worker="cache", trace=self._trace_by_key.get(key)
             )
-        _RESULTS.inc(kind="cache")
 
     def _mint_traces(self) -> None:
         """One trace id per coordinator run for untraced spec-file
@@ -481,9 +437,10 @@ class SweepCoordinator:
             for key in untraced:
                 self._trace_by_key[key] = run_trace
 
-    def _update_queue_gauges(self) -> None:
-        _PENDING.set(len(self._pending))
-        _IN_FLIGHT.set(len(self._in_flight))
+    def _terminal(self, key: str) -> bool:
+        return (
+            key in self._done or key in self._failed or key in self._cancelled
+        )
 
     def _outstanding(self) -> int:
         # Cancelled keys are terminal for completion purposes (the
@@ -567,27 +524,12 @@ class SweepCoordinator:
             if task is not None:
                 self._handlers.discard(task)
             # A dropped connection releases its claims instantly.
-            for key in conn.assigned:
-                self._release_lease(key)
-                self._in_flight.pop(key, None)
-                if (
-                    key not in self._done
-                    and key not in self._failed
-                    and key not in self._cancelled
-                ):
-                    self._pending.append(key)
-                    # Durable attribution: the timeline (and a replayed
-                    # /metrics) can pin the retry on the worker whose
-                    # connection died.
-                    if self._ledger is not None:
-                        self._ledger.record_requeued(
-                            key,
-                            conn.worker,
-                            reason="connection-lost",
-                            trace=self._trace_by_key.get(key),
-                        )
-                    _REQUEUED.inc(reason="connection-lost")
-            self._update_queue_gauges()
+            for key in [
+                key
+                for key, claim in self._claims.items()
+                if claim.conn is conn
+            ]:
+                self._reclaim(key, "connection-lost")
             self._maybe_complete()
             writer.close()
             try:
@@ -603,28 +545,18 @@ class SweepCoordinator:
             return
         while self._pending:
             key = self._pending.popleft()
-            if key in self._done or key in self._failed:
-                continue  # satisfied while queued (duplicate result)
-            if key in self._cancelled:
-                continue  # revoked while queued
-            if key in self._in_flight:
-                continue  # requeued twice (drop + lease race)
+            if self._terminal(key) or key in self._claims:
+                # Satisfied or revoked while queued, or requeued twice
+                # (drop + lease race).
+                continue
             faults.inject("coordinator.assign", key)
             if self._first_assign_time is None:
                 self._first_assign_time = time.perf_counter()
-            self._in_flight[key] = conn.worker
-            conn.assigned.add(key)
-            if self._lease_timeout is not None:
-                self._lease_deadline[key] = (
-                    time.monotonic() + self._lease_timeout
-                )
-                self._assigned_conn[key] = conn
+            self._claims[key] = _Claim(conn, self._lease_deadline())
             if self._ledger is not None:
                 self._ledger.record_claimed(
                     key, conn.worker, trace=self._trace_by_key.get(key)
                 )
-            _ASSIGNED.inc()
-            self._update_queue_gauges()
             assign_frame: dict[str, Any] = {
                 "type": "assign",
                 "key": key,
@@ -644,65 +576,72 @@ class SweepCoordinator:
 
     # -- leases --------------------------------------------------------------
 
+    def _lease_deadline(self) -> float:
+        if self._lease_timeout is None:
+            return math.inf
+        return time.monotonic() + self._lease_timeout
+
     def _refresh_leases(self, conn: _Connection) -> None:
         """A heartbeat proves the whole connection's work is alive."""
-        if self._lease_timeout is None:
-            return
-        deadline = time.monotonic() + self._lease_timeout
-        for key in conn.assigned:
-            if key in self._lease_deadline:
-                self._lease_deadline[key] = deadline
-
-    def _release_lease(self, key: str) -> None:
-        self._lease_deadline.pop(key, None)
-        self._assigned_conn.pop(key, None)
+        deadline = self._lease_deadline()
+        for claim in self._claims.values():
+            if claim.conn is conn:
+                claim.deadline = deadline
 
     async def _lease_sweeper(self) -> None:
         """Requeue assignments whose deadline passed unheartbeaten.
 
         Runs well inside the timeout (quarter-period ticks) so an
         expiry is noticed within ~1.25 leases worst case.  The expired
-        key is stripped from its connection's assignment set *before*
-        it re-enters the queue -- the ghost worker's late FAILED frame
-        then misses the only-the-assignee-may-fail gate, while its
-        late RESULT (content-addressed, byte-identical) is still
-        welcome.
+        claim is dropped *before* the key re-enters the queue -- the
+        ghost worker's late FAILED frame then misses the
+        only-the-assignee-may-fail gate, while its late RESULT
+        (content-addressed, byte-identical) is still welcome.
         """
         interval = max(self._lease_timeout / 4.0, 0.01)
         while True:
             await asyncio.sleep(interval)
             now = time.monotonic()
-            for key, deadline in list(self._lease_deadline.items()):
-                if deadline > now:
-                    continue
-                conn = self._assigned_conn.get(key)
-                self._release_lease(key)
-                worker = self._in_flight.pop(key, "?")
-                if conn is not None:
-                    conn.assigned.discard(key)
-                if (
-                    key in self._done
-                    or key in self._failed
-                    or key in self._cancelled
-                ):
-                    continue
-                self._lease_requeued[key] += 1
-                self._pending.append(key)
-                if self._ledger is not None:
-                    self._ledger.record_requeued(
-                        key,
-                        worker,
-                        reason="lease-expired",
-                        trace=self._trace_by_key.get(key),
-                    )
-                _REQUEUED.inc(reason="lease-expired")
-                self._update_queue_gauges()
+            for key in [
+                key
+                for key, claim in self._claims.items()
+                if claim.deadline <= now
+            ]:
+                if self._reclaim(key, "lease-expired"):
+                    self._lease_requeued[key] += 1
+
+    def _reclaim(self, key: str, reason: str) -> bool:
+        """Take ``key`` back from its claimant and requeue it, unless
+        it is terminal already; True if it went back in the queue."""
+        claim = self._claims.pop(key)
+        if self._terminal(key):
+            return False
+        self._pending.append(key)
+        self._record_requeued(key, claim.conn.worker, reason)
+        return True
+
+    def _release(self, conn: _Connection, key: str) -> bool:
+        """Drop ``conn``'s claim on ``key``.  Only the assignee may
+        fail or release a point: False if ``conn`` does not hold it."""
+        claim = self._claims.get(key)
+        if claim is None or claim.conn is not conn:
+            return False
+        del self._claims[key]
+        return True
+
+    def _record_requeued(self, key: str, worker: str, reason: str) -> None:
+        """Durable attribution: the timeline (and a replayed /metrics)
+        can pin the retry on the worker whose claim was reclaimed."""
+        if self._ledger is not None:
+            self._ledger.record_requeued(
+                key, worker, reason=reason, trace=self._trace_by_key.get(key)
+            )
 
     # -- watch mode: the ledger is the inbox ---------------------------------
 
     async def _tail_ledger_task(self) -> None:
         while True:
-            await asyncio.sleep(self._poll_interval)
+            await asyncio.sleep(WATCH_POLL_INTERVAL)
             self._ingest_ledger_tail()
             self._maybe_compact()
 
@@ -763,13 +702,7 @@ class SweepCoordinator:
             trace = record.get("trace")
             if isinstance(trace, str):
                 self._trace_by_key.setdefault(key, trace)
-            if result_path(self._cache_dir, spec).exists():
-                self._done_from_cache(spec.key())
-            elif spec.key() in self._cancelled:
-                continue  # scheduled after its sweep was revoked
-            else:
-                self._pending.append(spec.key())
-                self._update_queue_gauges()
+            self._admit(spec.key(), spec)
 
     def _maybe_compact(self) -> None:
         """Fold a directory ledger into its snapshot once the
@@ -792,33 +725,21 @@ class SweepCoordinator:
             return
         cursor = self._tail_cursor if self._watch else None
         stats = ledger.compact(cursor)
-        _COMPACTIONS.inc()
         if cursor is not None:
             self._ingest_ledger_tail(stats["unread"])
 
     def _apply_cancel(self, sweep: str) -> None:
         """Revoke every live point of ``sweep`` (absorbing, idempotent).
 
-        Leases are released and in-flight markers dropped so nothing
-        stays "leased" after a cancel; a result already computed for a
-        revoked key is acked-but-ignored in :meth:`_accept_result`.
+        Claims are dropped so nothing stays "leased" after a cancel; a
+        result already computed for a revoked key is acked-but-ignored
+        in :meth:`_accept_result`.
         """
         self._cancelled_sweeps.add(sweep)
         for key in self._sweep_keys.get(sweep, ()):
-            if key not in self._by_key:
-                continue
-            if (
-                key in self._done
-                or key in self._failed
-                or key in self._cancelled
-            ):
-                continue
-            self._cancelled.add(key)
-            conn = self._assigned_conn.get(key)
-            if conn is not None:
-                conn.assigned.discard(key)
-            self._release_lease(key)
-            self._in_flight.pop(key, None)
+            if key in self._by_key and not self._terminal(key):
+                self._cancelled.add(key)
+                self._claims.pop(key, None)
         self._maybe_complete()
 
     def _adopt_spec(
@@ -858,7 +779,6 @@ class SweepCoordinator:
 
         writer = conn.writer
         worker = conn.worker
-        assigned = conn.assigned
         key = message.get("key")
         faults.inject(
             "coordinator.result", key if isinstance(key, str) else ""
@@ -866,14 +786,10 @@ class SweepCoordinator:
         spec = self._by_key.get(key)
         payload = message.get("result")
         if isinstance(key, str) and key in self._cancelled:
-            # The sweep was revoked while this point computed: drop
-            # the result on the floor, idempotently.  stored=False
-            # tells the worker not to count it; releasing the claim
-            # keeps the connection's books clean.
-            if key in assigned:
-                assigned.discard(key)
-                self._release_lease(key)
-                self._in_flight.pop(key, None)
+            # The sweep was revoked while this point computed (the
+            # cancel already dropped the claim): drop the result on the
+            # floor, idempotently.  stored=False tells the worker not
+            # to count it.
             await write_frame(
                 writer, {"type": "ack", "key": key, "stored": False}
             )
@@ -954,37 +870,25 @@ class SweepCoordinator:
                 # the assignee's claim is released: a non-assignee's
                 # broken payload must not requeue (and double-run) a
                 # point that its real owner is still computing.
-                if key in assigned:
-                    assigned.discard(key)
-                    self._release_lease(key)
-                    self._in_flight.pop(key, None)
+                if self._release(conn, key):
                     self._publish_retries[key] += 1
-                    _PUBLISH_RETRIES.inc()
                     if self._publish_retries[key] >= PUBLISH_RETRY_LIMIT:
                         # Persistent: recompute/republish cycles would
                         # livelock the fleet.  Terminal failure.
-                        detail = (
+                        self._fail(
+                            key,
+                            worker,
                             f"result not storable after "
                             f"{PUBLISH_RETRY_LIMIT} attempts "
-                            f"({type(error).__name__}: {error})"
+                            f"({type(error).__name__}: {error})",
+                            trace,
                         )
-                        self._failed[key] = detail
-                        if self._ledger is not None:
-                            self._ledger.record_failed(
-                                key, worker, detail, trace=trace
-                            )
-                        _FAILED.inc()
-                        if self._outstanding() == 0:
-                            self._complete_time = time.perf_counter()
-                        self._update_queue_gauges()
-                        self._maybe_complete()
                         await write_frame(
                             writer,
                             {"type": "ack", "key": key, "stored": False},
                         )
                         return
                     self._pending.append(key)
-                    self._update_queue_gauges()
                 await write_frame(
                     writer,
                     {
@@ -1007,15 +911,8 @@ class SweepCoordinator:
             self._failed.pop(key, None)
             self._done.add(key)
             self._computed_by[worker] += 1
-            _RESULTS.inc(kind="result-ref" if by_ref else "result")
-        if key in assigned:
-            assigned.discard(key)
-            self._release_lease(key)
-            self._in_flight.pop(key, None)
-        if self._outstanding() == 0:
-            self._complete_time = time.perf_counter()
-        self._update_queue_gauges()
-        self._maybe_complete()
+        self._release(conn, key)
+        self._settle()
         await write_frame(writer, {"type": "ack", "key": key})
 
     def _accept_failure(
@@ -1024,26 +921,30 @@ class SweepCoordinator:
         key = message.get("key")
         if (
             not isinstance(key, str)
-            or key not in conn.assigned  # only the assignee may fail a point
-            or key in self._done
-            or key in self._failed
-            or key in self._cancelled  # revoked: the failure is moot
+            or self._terminal(key)  # settled or revoked: moot
+            or not self._release(conn, key)  # only the assignee may fail
         ):
             return
-        conn.assigned.discard(key)
-        self._release_lease(key)
-        self._in_flight.pop(key, None)
-        error = str(message.get("error", "unknown error"))
+        self._fail(
+            key,
+            conn.worker,
+            str(message.get("error", "unknown error")),
+            self._trace_by_key.get(key),
+        )
+
+    def _fail(
+        self, key: str, worker: str, error: str, trace: str | None
+    ) -> None:
+        """Ledger ``key`` as a terminal failure."""
         self._failed[key] = error
         if self._ledger is not None:
-            self._ledger.record_failed(
-                key, conn.worker, error, trace=self._trace_by_key.get(key)
-            )
-        _FAILED.inc()
-        self._update_queue_gauges()
+            self._ledger.record_failed(key, worker, error, trace=trace)
+        self._settle()
+
+    def _settle(self) -> None:
+        """After a terminal event: the compute window closes on the
+        last one, successful or not, and the serve loop may end."""
         if self._outstanding() == 0:
-            # The compute window closes on the last *terminal* event,
-            # successful or not.
             self._complete_time = time.perf_counter()
         self._maybe_complete()
 

@@ -59,22 +59,11 @@ from typing import Any
 
 from repro.distributed import faults
 from repro.distributed.protocol import ProtocolError, read_frame, write_frame
-from repro.obs import metrics as obs_metrics
 from repro.obs.trace import emit_span, span as obs_span
 from repro.scenario.spec import ScenarioSpec
 from repro.scenario.store import store_result
 
 __all__ = ["run_worker", "worker_loop"]
-
-_POINTS = obs_metrics.counter(
-    "repro_worker_points_total",
-    "Assignments this worker process finished, by outcome",
-    ("outcome",),
-)
-_RECONNECTS = obs_metrics.counter(
-    "repro_worker_reconnects_total",
-    "Torn connections this worker process survived",
-)
 
 #: Base delay of the connect backoff (doubles per failed attempt).
 RETRY_DELAY = 0.2
@@ -281,7 +270,6 @@ async def worker_loop(
                         raise
                     except Exception as error:  # noqa: BLE001 -- reported
                         failed += 1
-                        _POINTS.inc(outcome="failed")
                         failed_frame: dict[str, Any] = {
                             "type": "failed",
                             "key": message["key"],
@@ -343,7 +331,6 @@ async def worker_loop(
                         # livelock the fleet on recompute/crash
                         # cycles.
                         failed += 1
-                        _POINTS.inc(outcome="failed")
                         oversize_frame: dict[str, Any] = {
                             "type": "failed",
                             "key": message["key"],
@@ -369,13 +356,11 @@ async def worker_loop(
                             # point is requeued (and NOT counted as
                             # executed -- no result was stored); back
                             # off and keep going.
-                            _POINTS.inc(outcome="retried")
                             await asyncio.sleep(RETRY_DELAY)
                             continue
                         raise ProtocolError(str(reply.get("error")))
                     if reply.get("stored", True):
                         executed += 1  # acked: durably stored
-                        _POINTS.inc(outcome="acked")
                         if sent_ref:
                             published += 1
                 elif kind == "wait":
@@ -412,7 +397,6 @@ async def worker_loop(
         if outcome != _TORN or reconnect_timeout <= 0:
             break
         reconnects += 1
-        _RECONNECTS.inc()
         window = reconnect_timeout
     return {
         "worker": name,

@@ -3,7 +3,7 @@
 The fabric needed numbers before it needed dashboards, so this module
 is deliberately dependency-free: a :class:`MetricsRegistry` holds
 named metrics, every mutation is a dict update under one lock (cheap
-enough for the coordinator's per-frame counters, atomic under the
+enough for per-frame and per-request counters, atomic under the
 ``ThreadingHTTPServer`` / asyncio threading mix the fabric runs on),
 and :meth:`MetricsRegistry.render` emits the Prometheus text
 exposition format (``text/plain; version=0.0.4``) that ``GET
@@ -19,11 +19,13 @@ Conventions (matching the Prometheus client ecosystem):
   level ``counter(...)`` declarations are safe to re-import.
 
 The module-level default registry (:func:`default_registry`) is what
-the instrumented seams -- coordinator, worker, service, runner, batch
-engine, store -- share within one process.  Registries are process
-local by design: a forked sweep worker counts in its own copy, and
+the instrumented seams -- service, protocol, runner, batch engine,
+store -- share within one process.  Registries are process local by
+design: a forked sweep worker counts in its own copy, and
 cross-process aggregation happens where it belongs, in the ledger
 (replayed by the service's ``/metrics`` gauges) and the span JSONL.
+The coordinator and the worker count nothing here: every fact they
+know is a ledger record or part of ``run_worker``'s return value.
 """
 
 from __future__ import annotations

@@ -689,7 +689,9 @@ class TestSubmittedSweeps:
         assert summary["resumed_from_ledger"] == 2
         assert summary["computed"] == 4  # only the unfinished points
 
-    def test_watch_coordinator_executes_a_live_submission(self, tmp_path):
+    def test_watch_coordinator_executes_a_live_submission(
+        self, tmp_path, monkeypatch
+    ):
         """Submit through a real ResultsService while the coordinator
         is already running in watch mode: the ledger tail picks the
         points up, workers execute them, pagination serves them --
@@ -723,12 +725,11 @@ class TestSubmittedSweeps:
 
         ledger = tmp_path / "ledger.jsonl"
         cache = tmp_path / "cache"
+        monkeypatch.setattr(
+            "repro.distributed.coordinator.WATCH_POLL_INTERVAL", 0.05
+        )
         driver = CoordinatorThread(
-            [],
-            cache_dir=cache,
-            ledger_path=ledger,
-            watch=True,
-            poll_interval=0.05,
+            [], cache_dir=cache, ledger_path=ledger, watch=True
         )
         workers = [
             threading.Thread(
@@ -817,7 +818,7 @@ class TestCancellation:
     """A cancel mid-sweep revokes leases and outlives in-flight work."""
 
     def test_cancel_releases_leases_and_ignores_late_results(
-        self, tmp_path
+        self, tmp_path, monkeypatch
     ):
         """While a point is leased, a ``cancelled`` record lands in the
         ledger: the coordinator releases the lease immediately (no
@@ -834,12 +835,11 @@ class TestCancellation:
         with SweepLedger(ledger) as handle:
             handle.record_scheduled(specs)
             handle.record_submitted(sweep, keys, name="doomed")
+        monkeypatch.setattr(
+            "repro.distributed.coordinator.WATCH_POLL_INTERVAL", 0.05
+        )
         driver = CoordinatorThread(
-            [],
-            cache_dir=tmp_path / "cache",
-            ledger_path=ledger,
-            watch=True,
-            poll_interval=0.05,
+            [], cache_dir=tmp_path / "cache", ledger_path=ledger, watch=True
         )
 
         async def hold_a_lease_through_a_cancel() -> dict:
@@ -881,8 +881,7 @@ class TestCancellation:
             "stored": False,
         }
         # No leased points survive the cancel.
-        assert driver.coordinator._lease_deadline == {}
-        assert driver.coordinator._assigned_conn == {}
+        assert driver.coordinator._claims == {}
         summary = driver.stop()
         assert summary["cancelled"] == 4
         assert summary["done"] == 0 and summary["pending"] == 0

@@ -359,6 +359,16 @@ def _free_port() -> int:
         return probe.getsockname()[1]
 
 
+def _listens(port) -> bool:
+    import socket
+
+    try:
+        socket.create_connection(("127.0.0.1", port), timeout=1.0).close()
+    except OSError:
+        return False
+    return True
+
+
 def _spawn_coordinator(port, spec, ledger, cache, log, plan=None):
     extra = {faults.ENV_PLAN: str(plan)} if plan is not None else None
     return subprocess.Popen(
@@ -421,9 +431,9 @@ class TestSelfHealingSchedule:
         a shard.  Run 2: a fresh coordinator isolates the fragment,
         reschedules, serves the fleet -- and is ``os._exit``-killed
         (SIGKILL semantics: no finally, no flush) while accepting its
-        sixth result; meanwhile worker ``fi-w1`` has silently dropped
-        its first RESULT frame on the wire.  Both workers ride the
-        coordinator's death through jittered reconnect.  Run 3: a
+        sixth result; before that, worker ``fi-w1`` has silently
+        dropped its first RESULT frame on the wire.  Both workers ride
+        the coordinator's death through jittered reconnect.  Run 3: a
         clean coordinator compacts the ledger tail, resumes the 30-ish
         unfinished points, and the sweep converges -- byte-identical
         to a serial run, every fault provably fired.
@@ -472,19 +482,46 @@ class TestSelfHealingSchedule:
         port = _free_port()
         log = open(tmp_path / "schedule.log", "ab")
         workers = []
-        try:
-            workers = [
-                _spawn_worker(port, "fi-w1", log, plan=drop_plan),
-                _spawn_worker(port, "fi-w2", log),
-            ]
-            exit_codes = []
-            for plan in (torn_plan, kill_plan, None):
-                coordinator = _spawn_coordinator(
+        coordinators = []
+
+        def run(plan):
+            coordinators.append(
+                _spawn_coordinator(
                     port, spec_file, ledger, cache, log, plan=plan
                 )
-                remaining = deadline - time.monotonic()
-                assert remaining > 0, "self-heal budget exhausted"
-                exit_codes.append(coordinator.wait(timeout=remaining))
+            )
+            return coordinators[-1]
+
+        def finish(coordinator):
+            remaining = deadline - time.monotonic()
+            assert remaining > 0, "self-heal budget exhausted"
+            return coordinator.wait(timeout=remaining)
+
+        def wait_until(condition, coordinator, what):
+            while not condition():
+                assert coordinator.poll() is None, f"exited before {what}"
+                assert time.monotonic() < deadline, f"no {what}"
+                time.sleep(0.05)
+
+        try:
+            # Run 1 dies on its torn append before it ever listens.
+            exit_codes = [finish(run(torn_plan))]
+            # The workers join run 2 one at a time, so both provably
+            # ride its kill: fi-w1 first, until its RESULT frame is
+            # dropped (it then waits for an ack that never comes), and
+            # only then fi-w2, whose results trigger the scripted kill.
+            coordinator = run(kill_plan)
+            wait_until(lambda: _listens(port), coordinator, "listener")
+            workers.append(_spawn_worker(port, "fi-w1", log, plan=drop_plan))
+            wait_until(
+                lambda: fired.exists()
+                and "protocol.send" in fired.read_text(),
+                coordinator,
+                "dropped RESULT frame",
+            )
+            workers.append(_spawn_worker(port, "fi-w2", log))
+            exit_codes.append(finish(coordinator))
+            exit_codes.append(finish(run(None)))
             # Run 1 died on the torn append, run 2 on the scripted
             # kill, run 3 converged.
             assert exit_codes[0] not in (0, None)
@@ -494,10 +531,10 @@ class TestSelfHealingSchedule:
                 remaining = max(deadline - time.monotonic(), 1.0)
                 assert worker.wait(timeout=remaining) == 0
         finally:
-            for worker in workers:
-                if worker.poll() is None:
-                    worker.kill()
-                    worker.wait(timeout=30)
+            for process in workers + coordinators:
+                if process.poll() is None:
+                    process.kill()
+                    process.wait(timeout=30)
             log.close()
 
         # Zero manual intervention beyond restarting the dead process:

@@ -95,9 +95,14 @@ class Ghost:
     """
 
     def __init__(
-        self, port: int, heartbeat_for: float = 0.0, hold: float = 8.0
+        self,
+        port: int,
+        heartbeat_for: float = 0.0,
+        hold: float = 8.0,
+        worker: str = "ghost",
     ):
         self.port = port
+        self.worker = worker
         self.heartbeat_for = heartbeat_for
         self.hold = hold
         self.key: str | None = None
@@ -113,7 +118,9 @@ class Ghost:
             "127.0.0.1", self.port
         )
         try:
-            await write_frame(writer, {"type": "hello", "worker": "ghost"})
+            await write_frame(
+                writer, {"type": "hello", "worker": self.worker}
+            )
             await write_frame(writer, {"type": "claim"})
             message = await read_frame(reader)
             assert message["type"] == "assign"
@@ -172,8 +179,10 @@ class TestLeaseExpiry:
 
     def test_heartbeats_defer_expiry_until_they_stop(self, tmp_path):
         """While the ghost heartbeats, its lease must not expire; once
-        the heartbeats stop, expiry fires from the last refresh."""
-        specs = small_grid(1)
+        the heartbeats stop, expiry fires from the last refresh.  A
+        heartbeat refreshes only its own connection's leases: a silent
+        ghost holding the other point expires meanwhile."""
+        specs = small_grid(2)
         driver = CoordinatorThread(
             specs,
             cache_dir=tmp_path / "cache",
@@ -182,18 +191,20 @@ class TestLeaseExpiry:
         )
         # Heartbeat well past several lease periods...
         ghost = Ghost(driver.port, heartbeat_for=3 * LEASE)
-        assert ghost.claimed.wait(timeout=10)
-        # ...and confirm the point was NOT requeued during that phase:
-        # a healthy worker arriving mid-heartbeat finds nothing to do.
+        assert ghost.claimed.wait(timeout=10) and ghost.key is not None
+        silent = Ghost(driver.port, worker="silent")
+        assert silent.claimed.wait(timeout=10) and silent.key is not None
+        # ...and confirm the point was NOT requeued during that phase,
+        # while the silent ghost's point was.
         time.sleep(2 * LEASE)
-        assert driver.coordinator._lease_requeued.total() == 0
+        assert driver.coordinator._lease_requeued == {silent.key: 1}
         # After the heartbeats stop, the lease expires and the healthy
-        # worker gets the point.
+        # worker gets both points.
         stats = run_workers(driver.port, 1)
         summary = driver.join()
-        assert summary["done"] == 1
-        assert summary["lease_requeued"] == 1
-        assert stats[0]["executed"] == 1
+        assert summary["done"] == 2
+        assert summary["lease_requeued"] == 2
+        assert stats[0]["executed"] == 2
 
     def test_slow_but_reporting_worker_is_not_preempted(self, tmp_path):
         """A worker that heartbeats through a long compute and then

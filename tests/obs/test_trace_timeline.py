@@ -142,7 +142,9 @@ class CoordinatorThread:
 
 
 class TestFaultInjectedTimeline:
-    def test_submit_to_timeline_with_a_torn_result(self, tmp_path, capsys):
+    def test_submit_to_timeline_with_a_torn_result(
+        self, tmp_path, capsys, monkeypatch
+    ):
         """The acceptance run: submit -> 2 workers -> torn RESULT ->
         reconnect -> complete timeline under the submit-minted trace."""
         telemetry = tmp_path / "telemetry"
@@ -178,12 +180,11 @@ class TestFaultInjectedTimeline:
         minted = submitted["trace"]
         assert len(minted) == 32
 
+        monkeypatch.setattr(
+            "repro.distributed.coordinator.WATCH_POLL_INTERVAL", 0.05
+        )
         driver = CoordinatorThread(
-            [],
-            cache_dir=cache,
-            ledger_path=ledger,
-            watch=True,
-            poll_interval=0.05,
+            [], cache_dir=cache, ledger_path=ledger, watch=True
         )
         workers = [
             threading.Thread(
