@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Protocol, runtime_checkable
+from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -54,10 +54,10 @@ from repro.core.overlay_model import OverlayModel
 from repro.core.parameters import ModelParameters
 from repro.core.policies import CountAdversaryPolicy
 from repro.overlay.overlay import OverlayConfig
-from repro.scenario.registry import CHURN_KIND_LAWS, CHURN_MODELS, ENGINES
+from repro.scenario.registry import CHURN_MODELS, ENGINES
 from repro.scenario.spec import ScenarioSpec, SpecError
 from repro.simulation.batch import batch_monte_carlo_summary
-from repro.simulation.churn import ChurnEvent, IIDKinds, ScheduledKinds
+from repro.simulation.churn import IIDKinds, ScheduledKinds
 from repro.simulation.cluster_sim import (
     COUNT_POLICIES,
     MonteCarloSummary,
@@ -237,23 +237,31 @@ def _engine_options(spec: ScenarioSpec) -> dict[str, Any]:
     return dict(spec.options)
 
 
-def _event_kind_law(spec: ScenarioSpec, rng: np.random.Generator):
-    """The event-indexed kind law of the spec's churn model.
-
-    Every registered churn model must expose its batch-tier reduction
-    in :data:`~repro.scenario.registry.CHURN_KIND_LAWS`; a missing
-    entry is a loud error, never a silent fallback to a slower tier.
-    """
-    if spec.churn not in CHURN_KIND_LAWS:
-        known = ", ".join(CHURN_KIND_LAWS.names())
-        raise SpecError(
-            f"churn {spec.churn!r} has no event-kind law for the batch "
-            f"tier (known: {known}); register one in CHURN_KIND_LAWS or "
-            "use the 'scalar' or 'agent' engine"
-        )
-    return CHURN_KIND_LAWS.get(spec.churn)(
+def _churn_law(spec: ScenarioSpec, rng: np.random.Generator):
+    """The spec's churn law, built from ``rng`` by its registered
+    factory."""
+    return CHURN_MODELS.get(spec.churn)(
         rng, spec.params, **_churn_options(spec)
     )
+
+
+def _event_kind_law(
+    spec: ScenarioSpec, rng: np.random.Generator
+) -> IIDKinds | ScheduledKinds:
+    """The spec's churn law, which the batch tiers must be able to play.
+
+    A law that exposes no event-indexed kind sequence (neither
+    :class:`IIDKinds` nor :class:`ScheduledKinds`) is a loud error,
+    never a silent fallback to a slower tier.
+    """
+    law = _churn_law(spec, rng)
+    if not isinstance(law, (IIDKinds, ScheduledKinds)):
+        raise SpecError(
+            f"churn {spec.churn!r} has no event-kind law for the batch "
+            "tier; return IIDKinds or ScheduledKinds from its factory or "
+            "use the 'scalar' or 'agent' engine"
+        )
+    return law
 
 
 def _analytic_initial(spec: ScenarioSpec, engine: str) -> str:
@@ -301,14 +309,6 @@ def _churn_options(spec: ScenarioSpec) -> dict[str, Any]:
         for key, value in spec.churn_options
         if key in accepted
     }
-
-
-def _churn_stream(
-    spec: ScenarioSpec, rng: np.random.Generator
-) -> Iterator[ChurnEvent]:
-    return CHURN_MODELS.get(spec.churn)(
-        rng, spec.params, **_churn_options(spec)
-    )
 
 
 def _summary_metrics(summary: MonteCarloSummary) -> dict[str, float]:
@@ -494,7 +494,7 @@ class BatchBackend:
 
 class ScalarBackend:
     """Member-list oracle trajectories; plays any registered count-level
-    adversary against any registered churn stream."""
+    adversary against any registered churn law's event stream."""
 
     name = "scalar"
 
@@ -513,7 +513,7 @@ class ScalarBackend:
             initial=spec.initial,
             max_steps=spec.max_steps,
             adversary=spec.adversary,
-            events=_churn_stream(spec, rng),
+            events=_churn_law(spec, rng).events(rng),
         )
         return _result(spec, self.name, _summary_metrics(summary))
 

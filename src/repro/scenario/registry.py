@@ -4,7 +4,7 @@ A :class:`ScenarioSpec` names its adversary, churn model and simulation
 backend by string; the three registries below resolve those names to
 factories.  Components register themselves where they are defined
 (``repro.adversary`` for strategies, ``repro.simulation.churn`` for
-churn generators, :mod:`repro.scenario.backends` for engines), so a
+churn laws, :mod:`repro.scenario.backends` for engines), so a
 spec file can reference anything importable without the scenario layer
 hard-coding the catalogue.
 """
@@ -83,16 +83,18 @@ class Registry(Generic[T]):
 #: ``name -> factory(params) -> AdversaryStrategy | None`` (agent tier).
 ADVERSARIES: Registry[Callable] = Registry("adversary strategy")
 
-#: ``name -> factory(rng, params, **options) -> Iterator[ChurnEvent]``.
+#: ``name -> factory(rng, params, **options) -> law``: one law object
+#: per churn process, serving every tier.  ``law.events(rng)`` is the
+#: timed stream of the scalar and agent tiers; a law that is an
+#: :class:`~repro.simulation.churn.IIDKinds` or
+#: :class:`~repro.simulation.churn.ScheduledKinds` also exposes the
+#: event-indexed kind sequence the batch tiers play.  Any other law
+#: runs on the scalar and agent tiers only, and the batch tiers refuse
+#: it loudly (never a silent scalar fallback).
 CHURN_MODELS: Registry[Callable] = Registry("churn model")
 
-#: ``name -> factory(rng, params, **options) -> IIDKinds | ScheduledKinds``
-#: -- the *event-indexed* reduction of a churn process: either the join
-#: probability of its i.i.d. kind sequence or a materialized kind
-#: schedule.  The batch tier consumes these instead of event iterators;
-#: a churn model without an entry here cannot run vectorized and the
-#: backends refuse it loudly (never a silent scalar fallback).
-CHURN_KIND_LAWS: Registry[Callable] = Registry("churn kind law")
+#: The same registry under the name the benchmark's probes patch.
+CHURN_KIND_LAWS = CHURN_MODELS
 
 #: ``name -> SimulationBackend`` (see :mod:`repro.scenario.backends`).
 ENGINES: Registry = Registry("simulation backend")

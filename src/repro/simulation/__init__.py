@@ -2,8 +2,10 @@
 
 * :mod:`~repro.simulation.engine` -- deterministic event loop (simpy is
   unavailable offline; built from scratch).
-* :mod:`~repro.simulation.churn` -- the model's Bernoulli event stream
-  plus Poisson/heavy-tailed variants.
+* :mod:`~repro.simulation.churn` -- one law object per churn process
+  (the model's Bernoulli stream plus Poisson and exponential/Pareto
+  session variants), serving every tier: the timed event stream and
+  the batch tier's event-kind law.
 * :mod:`~repro.simulation.cluster_sim` -- agent-level single-cluster
   Monte Carlo validating Relations (5)-(9) (tier 1, the scalar
   semantics oracle).

@@ -1,17 +1,30 @@
-"""Churn event generators.
+"""Churn processes: one law object per churn model.
 
 The analytical model assumes an alternating stream where each event is a
 join with probability ``p_j`` and a leave with probability
 ``p_l = 1 - p_j``, dispatched uniformly over clusters
-(Sections III-A and VIII).  This module provides that generator plus two
-richer ones (Poisson arrivals with exponential or Pareto session times)
-used by the agent-based simulations to check that the conclusions
-survive a more realistic churn process.
+(Sections III-A and VIII).  This module provides that process plus
+three richer ones (a Poisson superposition, and Poisson arrivals with
+exponential or Pareto session times) used to check that the
+conclusions survive a more realistic churn process.
+
+Each process is one *law* object that serves every engine tier:
+
+* ``law.events(rng)`` is the timed join/leave stream the scalar oracle
+  and the agent overlay consume;
+* the cluster chain is event-indexed, so the batch tier reads only the
+  law's kind sequence: :class:`IIDKinds` when the kinds are i.i.d. (the
+  whole axis folds into one effective join probability mixed straight
+  into the transition rows), :class:`ScheduledKinds` when they are
+  correlated (session streams pair every join with a later leave; the
+  sequence is materialized once as a boolean schedule that lockstep
+  trajectories read from independent random offsets).
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -33,6 +46,91 @@ class ChurnEvent:
     time: float
 
 
+@dataclass(frozen=True)
+class IIDKinds:
+    """A churn process whose event kinds are i.i.d.: each event is a
+    join w.p. ``p_join``.
+
+    Events are ``time_step`` apart, or exponentially spaced with mean
+    ``time_step`` when ``exponential`` (a Poisson process).
+    """
+
+    p_join: float
+    time_step: float
+    exponential: bool = False
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.p_join < 1.0:
+            raise ValueError(
+                f"p_join must be in (0, 1), got {self.p_join}"
+            )
+
+    @classmethod
+    def poisson(cls, join_rate: float, leave_rate: float) -> IIDKinds:
+        """Superposition of Poisson join and leave processes.
+
+        Inter-event times are exponential with rate ``join_rate +
+        leave_rate``; each event is a join with probability
+        ``join_rate / (join_rate + leave_rate)``.
+        """
+        if join_rate <= 0 or leave_rate <= 0:
+            raise ValueError(
+                f"rates must be positive, got {join_rate}, {leave_rate}"
+            )
+        total = join_rate + leave_rate
+        return cls(join_rate / total, 1.0 / total, exponential=True)
+
+    def events(self, rng: np.random.Generator) -> Iterator[ChurnEvent]:
+        """The timed stream -- infinite, consume with
+        ``itertools.islice``."""
+        p_join, step = self.p_join, self.time_step
+        time = 0.0
+        while True:
+            time += float(rng.exponential(step)) if self.exponential else step
+            kind = EventKind.JOIN if rng.random() < p_join else EventKind.LEAVE
+            yield ChurnEvent(kind=kind, time=time)
+
+
+@dataclass(frozen=True)
+class ScheduledKinds:
+    """A churn process materialized as a finite, time-ordered stream.
+
+    ``schedule[k]`` is True when the stream's ``k``-th event is a join
+    and ``times[k]`` is its time.  The batch tier reads the schedule
+    cyclically from per-trajectory offsets, which matches the
+    per-trajectory law of a stationary stream segment.
+    """
+
+    schedule: np.ndarray
+    times: np.ndarray
+
+    @classmethod
+    def of_sessions(cls, plans: list[SessionPlan]) -> ScheduledKinds:
+        """Each plan's join at its arrival and leave at its departure.
+
+        Ties resolve joins first, so a session is always born before it
+        dies.
+        """
+        count = len(plans)
+        arrivals = (plan.arrival for plan in plans)
+        departures = (plan.departure for plan in plans)
+        times = np.fromiter(
+            itertools.chain(arrivals, departures), float, 2 * count
+        )
+        is_leave = np.repeat([False, True], count)
+        order = np.lexsort((is_leave, times))
+        return cls(schedule=order < count, times=times[order])
+
+    def events(
+        self, rng: np.random.Generator | None = None
+    ) -> Iterator[ChurnEvent]:
+        """The timed stream (finite; ``rng`` is unused -- the sessions
+        were drawn when the law was built)."""
+        for join, time in zip(self.schedule.tolist(), self.times.tolist()):
+            kind = EventKind.JOIN if join else EventKind.LEAVE
+            yield ChurnEvent(kind=kind, time=time)
+
+
 def bernoulli_event_stream(
     rng: np.random.Generator,
     p_join: float = 0.5,
@@ -40,13 +138,7 @@ def bernoulli_event_stream(
 ) -> Iterator[ChurnEvent]:
     """The model's stream: one event per unit of time, join w.p.
     ``p_join`` -- infinite, consume with ``itertools.islice``."""
-    if not 0.0 < p_join < 1.0:
-        raise ValueError(f"p_join must be in (0, 1), got {p_join}")
-    time = 0.0
-    while True:
-        time += time_step
-        kind = EventKind.JOIN if rng.random() < p_join else EventKind.LEAVE
-        yield ChurnEvent(kind=kind, time=time)
+    return IIDKinds(p_join, time_step).events(rng)
 
 
 def poisson_event_stream(
@@ -54,23 +146,9 @@ def poisson_event_stream(
     join_rate: float,
     leave_rate: float,
 ) -> Iterator[ChurnEvent]:
-    """Superposition of Poisson join and leave processes.
-
-    Inter-event times are exponential with rate ``join_rate +
-    leave_rate``; each event is a join with probability
-    ``join_rate / (join_rate + leave_rate)``.
-    """
-    if join_rate <= 0 or leave_rate <= 0:
-        raise ValueError(
-            f"rates must be positive, got {join_rate}, {leave_rate}"
-        )
-    total = join_rate + leave_rate
-    p_join = join_rate / total
-    time = 0.0
-    while True:
-        time += float(rng.exponential(1.0 / total))
-        kind = EventKind.JOIN if rng.random() < p_join else EventKind.LEAVE
-        yield ChurnEvent(kind=kind, time=time)
+    """Superposition of Poisson join and leave processes (see
+    :meth:`IIDKinds.poisson`)."""
+    return IIDKinds.poisson(join_rate, leave_rate).events(rng)
 
 
 @dataclass(frozen=True)
@@ -109,17 +187,9 @@ def exponential_sessions(
 def session_event_stream(
     plans: list[SessionPlan],
 ) -> Iterator[ChurnEvent]:
-    """Flatten session plans into a time-ordered join/leave stream.
-
-    Each plan contributes a :data:`EventKind.JOIN` at its arrival and a
-    :data:`EventKind.LEAVE` at its departure; ties resolve joins first
-    so a session is always born before it dies.  The stream is finite
-    (two events per plan).
-    """
-    marks = [(plan.arrival, 0, EventKind.JOIN) for plan in plans]
-    marks += [(plan.departure, 1, EventKind.LEAVE) for plan in plans]
-    for time, _, kind in sorted(marks):
-        yield ChurnEvent(kind=kind, time=time)
+    """Flatten session plans into a time-ordered join/leave stream
+    (finite, two events per plan; see :meth:`ScheduledKinds.of_sessions`)."""
+    return ScheduledKinds.of_sessions(plans).events()
 
 
 def pareto_sessions(
@@ -154,193 +224,69 @@ def pareto_sessions(
 
 # -- scenario registry entries ----------------------------------------------
 #
-# Factories share one signature -- ``factory(rng, params, **options) ->
-# Iterator[ChurnEvent]`` -- so a :class:`~repro.scenario.spec.ScenarioSpec`
-# can name any of them (with ``churn_options`` as the keyword arguments)
-# and the engines stay agnostic of which process drives the events.
+# One factory per churn model -- ``factory(rng, params, **options) ->
+# law`` -- so a :class:`~repro.scenario.spec.ScenarioSpec` can name any
+# of them (with ``churn_options`` as the keyword arguments) and every
+# tier reads the same law.  A factory's signature is the only place its
+# options and their defaults appear.
 
-def _bernoulli_churn(
+def _bernoulli_law(
     rng: np.random.Generator,
     params,
     p_join: float | None = None,
     time_step: float = 1.0,
-) -> Iterator[ChurnEvent]:
-    if p_join is None:
-        p_join = params.p_join
-    return bernoulli_event_stream(rng, p_join=p_join, time_step=time_step)
+) -> IIDKinds:
+    return IIDKinds(params.p_join if p_join is None else p_join, time_step)
 
 
-def _poisson_churn(
+def _poisson_law(
     rng: np.random.Generator,
     params,
     rate: float = 2.0,
     join_rate: float | None = None,
     leave_rate: float | None = None,
-) -> Iterator[ChurnEvent]:
+) -> IIDKinds:
     """Poisson superposition; by default the joint ``rate`` splits
     between joins and leaves according to ``params.p_join``."""
     if join_rate is None:
         join_rate = rate * params.p_join
     if leave_rate is None:
         leave_rate = rate * params.p_leave
-    return poisson_event_stream(rng, join_rate, leave_rate)
+    return IIDKinds.poisson(join_rate, leave_rate)
 
 
-def _exponential_session_churn(
+def _exponential_session_law(
     rng: np.random.Generator,
     params,
     arrival_rate: float = 1.0,
     mean_session: float = 10.0,
     horizon: float = 10_000.0,
-) -> Iterator[ChurnEvent]:
-    return session_event_stream(
+) -> ScheduledKinds:
+    return ScheduledKinds.of_sessions(
         exponential_sessions(rng, arrival_rate, mean_session, horizon)
     )
 
 
-def _pareto_session_churn(
+def _pareto_session_law(
     rng: np.random.Generator,
     params,
     arrival_rate: float = 1.0,
     shape: float = 1.5,
     scale: float = 1.0,
     horizon: float = 10_000.0,
-) -> Iterator[ChurnEvent]:
-    return session_event_stream(
+) -> ScheduledKinds:
+    return ScheduledKinds.of_sessions(
         pareto_sessions(rng, arrival_rate, shape, scale, horizon)
     )
 
 
-# -- event-indexed kind laws (batch-tier reduction) --------------------------
-#
-# The cluster chain is event-indexed: a churn process influences it only
-# through the *kind sequence* (join or leave) of its events.  Each churn
-# model therefore also registers its kind-law reduction, which is what
-# the vectorized batch tier consumes:
-#
-# * :class:`IIDKinds` -- the process's kinds are i.i.d. (Bernoulli and
-#   Poisson-superposition streams): the whole axis folds into a single
-#   effective join probability mixed straight into the transition rows;
-# * :class:`ScheduledKinds` -- the kinds are correlated (session-based
-#   streams pair every join with a later leave): the sequence is
-#   materialized once as a boolean schedule that lockstep trajectories
-#   read from independent random offsets.
-#
-# Kind-law factories share the churn factories' signatures so one
-# ``churn_options`` table drives both representations.
-
-@dataclass(frozen=True)
-class IIDKinds:
-    """Event-indexed kind law of an i.i.d. churn process."""
-
-    p_join: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.p_join < 1.0:
-            raise ValueError(
-                f"p_join must be in (0, 1), got {self.p_join}"
-            )
-
-
-@dataclass(frozen=True)
-class ScheduledKinds:
-    """Materialized kind sequence of a correlated churn process.
-
-    ``schedule[k]`` is True when the stream's ``k``-th event is a join.
-    Consumers read the (finite) schedule cyclically from per-trajectory
-    offsets, which matches the per-trajectory law of a stationary
-    stream segment.
-    """
-
-    schedule: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.schedule.size == 0:
-            raise ValueError("kind schedule must be non-empty")
-
-
-def _kinds_of(plans: list[SessionPlan]) -> np.ndarray:
-    """Time-ordered join/leave flags of session plans (vectorized)."""
-    arrivals = np.array([plan.arrival for plan in plans])
-    departures = np.array([plan.departure for plan in plans])
-    times = np.concatenate([arrivals, departures])
-    # Joins sort before leaves on ties, matching session_event_stream.
-    tiebreak = np.concatenate(
-        [np.zeros(arrivals.size), np.ones(departures.size)]
-    )
-    order = np.lexsort((tiebreak, times))
-    return order < arrivals.size
-
-
-def _bernoulli_kinds(
-    rng: np.random.Generator,
-    params,
-    p_join: float | None = None,
-    time_step: float = 1.0,
-) -> IIDKinds:
-    return IIDKinds(params.p_join if p_join is None else p_join)
-
-
-def _poisson_kinds(
-    rng: np.random.Generator,
-    params,
-    rate: float = 2.0,
-    join_rate: float | None = None,
-    leave_rate: float | None = None,
-) -> IIDKinds:
-    if join_rate is None:
-        join_rate = rate * params.p_join
-    if leave_rate is None:
-        leave_rate = rate * params.p_leave
-    if join_rate <= 0 or leave_rate <= 0:
-        raise ValueError(
-            f"rates must be positive, got {join_rate}, {leave_rate}"
-        )
-    return IIDKinds(join_rate / (join_rate + leave_rate))
-
-
-def _exponential_session_kinds(
-    rng: np.random.Generator,
-    params,
-    arrival_rate: float = 1.0,
-    mean_session: float = 10.0,
-    horizon: float = 10_000.0,
-) -> ScheduledKinds:
-    return ScheduledKinds(
-        _kinds_of(
-            exponential_sessions(rng, arrival_rate, mean_session, horizon)
-        )
-    )
-
-
-def _pareto_session_kinds(
-    rng: np.random.Generator,
-    params,
-    arrival_rate: float = 1.0,
-    shape: float = 1.5,
-    scale: float = 1.0,
-    horizon: float = 10_000.0,
-) -> ScheduledKinds:
-    return ScheduledKinds(
-        _kinds_of(pareto_sessions(rng, arrival_rate, shape, scale, horizon))
-    )
-
-
 def _register_defaults() -> None:
-    from repro.scenario.registry import CHURN_KIND_LAWS, CHURN_MODELS
+    from repro.scenario.registry import CHURN_MODELS
 
-    CHURN_MODELS.register("bernoulli", _bernoulli_churn)
-    CHURN_MODELS.register("poisson", _poisson_churn)
-    CHURN_MODELS.register(
-        "exponential-sessions", _exponential_session_churn
-    )
-    CHURN_MODELS.register("pareto-sessions", _pareto_session_churn)
-    CHURN_KIND_LAWS.register("bernoulli", _bernoulli_kinds)
-    CHURN_KIND_LAWS.register("poisson", _poisson_kinds)
-    CHURN_KIND_LAWS.register(
-        "exponential-sessions", _exponential_session_kinds
-    )
-    CHURN_KIND_LAWS.register("pareto-sessions", _pareto_session_kinds)
+    CHURN_MODELS.register("bernoulli", _bernoulli_law)
+    CHURN_MODELS.register("poisson", _poisson_law)
+    CHURN_MODELS.register("exponential-sessions", _exponential_session_law)
+    CHURN_MODELS.register("pareto-sessions", _pareto_session_law)
 
 
 _register_defaults()

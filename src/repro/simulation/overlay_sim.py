@@ -286,10 +286,10 @@ class AgentOverlaySimulation:
 
     ``adversary`` accepts a strategy instance or any registry name from
     :data:`repro.scenario.registry.ADVERSARIES` (``"strong"``,
-    ``"passive"``, ...); ``churn`` optionally names a generator from
-    :data:`~repro.scenario.registry.CHURN_MODELS` that supplies the
-    join/leave decisions in place of the default Bernoulli draw
-    (``churn_options`` are its keyword arguments).
+    ``"passive"``, ...); ``churn`` optionally names a churn model from
+    :data:`~repro.scenario.registry.CHURN_MODELS` whose event stream
+    supplies the join/leave decisions in place of the default Bernoulli
+    draw (``churn_options`` are its keyword arguments).
     """
 
     def __init__(
@@ -314,7 +314,7 @@ class AgentOverlaySimulation:
         if churn is not None:
             self._churn_stream = CHURN_MODELS.get(churn)(
                 rng, config.model, **dict(churn_options or {})
-            )
+            ).events(rng)
         self._engine = DiscreteEventEngine()
         self._events_per_unit = events_per_unit
         self._min_population = min_population

@@ -46,7 +46,8 @@ def grid_18() -> list[ScenarioSpec]:
 
 
 class CoordinatorThread:
-    """Drives one coordinator on a background thread."""
+    """Drives one coordinator on a daemon thread: a failed assertion
+    must not leave it serving and the test process unable to exit."""
 
     def __init__(self, specs, **kwargs):
         self.coordinator = SweepCoordinator(specs, port=0, **kwargs)
@@ -55,7 +56,7 @@ class CoordinatorThread:
         def run() -> None:
             self.summary = self.coordinator.run()
 
-        self.thread = threading.Thread(target=run)
+        self.thread = threading.Thread(target=run, daemon=True)
         self.thread.start()
         assert self.coordinator.ready.wait(timeout=10)
         self.port = self.coordinator.port
@@ -85,7 +86,7 @@ def run_workers(port: int, count: int, **kwargs) -> list[dict]:
             stats.append(outcome)
 
     threads = [
-        threading.Thread(target=drive, args=(index,))
+        threading.Thread(target=drive, args=(index,), daemon=True)
         for index in range(count)
     ]
     for thread in threads:
@@ -737,7 +738,8 @@ class TestSubmittedSweeps:
                     worker_loop(
                         "127.0.0.1", driver.port, worker_id=f"w{i}"
                     )
-                )
+                ),
+                daemon=True,
             )
             for i in range(2)
         ]

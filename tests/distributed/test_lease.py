@@ -29,7 +29,8 @@ PARAMS = ModelParameters(core_size=5, spare_max=5, k=1, mu=0.2, d=0.9)
 
 
 class CoordinatorThread:
-    """Drives one coordinator on a background thread."""
+    """Drives one coordinator on a daemon thread: a failed assertion
+    must not leave it serving and the test process unable to exit."""
 
     def __init__(self, specs, **kwargs):
         self.coordinator = SweepCoordinator(specs, port=0, **kwargs)
@@ -38,7 +39,7 @@ class CoordinatorThread:
         def run() -> None:
             self.summary = self.coordinator.run()
 
-        self.thread = threading.Thread(target=run)
+        self.thread = threading.Thread(target=run, daemon=True)
         self.thread.start()
         assert self.coordinator.ready.wait(timeout=10)
         self.port = self.coordinator.port
@@ -62,7 +63,7 @@ def run_workers(port: int, count: int, **kwargs) -> list[dict]:
             stats.append(outcome)
 
     threads = [
-        threading.Thread(target=drive, args=(index,))
+        threading.Thread(target=drive, args=(index,), daemon=True)
         for index in range(count)
     ]
     for thread in threads:
@@ -296,7 +297,7 @@ class TestLeaseExpiry:
             await writer.wait_closed()
 
         ghost = threading.Thread(
-            target=lambda: asyncio.run(ghost_then_fail())
+            target=lambda: asyncio.run(ghost_then_fail()), daemon=True
         )
         ghost.start()
         # Give the ghost time to claim, wedge, and lose the lease,

@@ -120,7 +120,8 @@ GRID_DOCUMENT = {
 
 
 class CoordinatorThread:
-    """Drives one coordinator on a background thread."""
+    """Drives one coordinator on a daemon thread: a failed assertion
+    must not leave it serving and the test process unable to exit."""
 
     def __init__(self, specs, **kwargs):
         self.coordinator = SweepCoordinator(specs, port=0, **kwargs)
@@ -129,7 +130,7 @@ class CoordinatorThread:
         def run() -> None:
             self.summary = self.coordinator.run()
 
-        self.thread = threading.Thread(target=run)
+        self.thread = threading.Thread(target=run, daemon=True)
         self.thread.start()
         assert self.coordinator.ready.wait(timeout=10)
         self.port = self.coordinator.port
@@ -195,7 +196,8 @@ class TestFaultInjectedTimeline:
                         worker_id=f"w{i}",
                         reconnect_timeout=5.0,
                     )
-                )
+                ),
+                daemon=True,
             )
             for i in range(2)
         ]

@@ -347,3 +347,54 @@ class TestCompetingBackendAxes:
             spec(engine="batch", runs=50, options={"sample_every": 5.0})
         )
         assert result.metrics["runs"] == 50.0
+
+
+class EventsOnly:
+    """A churn law with a timed stream and no event-kind law."""
+
+    def __init__(self, p_join: float) -> None:
+        self.p_join = p_join
+
+    def events(self, rng):
+        from repro.simulation.churn import bernoulli_event_stream
+
+        return bernoulli_event_stream(rng, p_join=self.p_join)
+
+
+class TestStreamOnlyChurnLaw:
+    """A registered churn model whose law has only ``events(rng)`` runs
+    on the stream tiers and is refused loudly by the batch tiers."""
+
+    @pytest.fixture
+    def events_only(self, monkeypatch):
+        from repro.scenario.registry import CHURN_MODELS
+
+        with monkeypatch.context() as scoped:
+            scoped.setitem(
+                CHURN_MODELS._entries,
+                "events-only",
+                lambda rng, params: EventsOnly(params.p_join),
+            )
+            yield "events-only"
+        assert "events-only" not in CHURN_MODELS
+
+    def test_runs_on_the_scalar_engine(self, events_only):
+        custom = execute_spec(
+            spec(engine="scalar", runs=200, churn=events_only)
+        )
+        bernoulli = execute_spec(spec(engine="scalar", runs=200))
+        assert custom.metrics["runs"] == 200.0
+        assert custom.metrics == bernoulli.metrics
+
+    @pytest.mark.parametrize("engine", ("batch", "competing-batch"))
+    def test_batch_tiers_refuse_it(self, events_only, engine):
+        with pytest.raises(SpecError, match="no event-kind law"):
+            execute_spec(
+                spec(
+                    engine=engine,
+                    runs=10,
+                    n=10,
+                    events=10,
+                    churn=events_only,
+                )
+            )

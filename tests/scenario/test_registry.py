@@ -4,6 +4,7 @@ import pytest
 
 from repro.scenario.registry import (
     ADVERSARIES,
+    CHURN_KIND_LAWS,
     CHURN_MODELS,
     ENGINES,
     Registry,
@@ -66,6 +67,10 @@ class TestBuiltinCatalogue:
             "exponential-sessions",
             "pareto-sessions",
         } <= set(CHURN_MODELS.names())
+
+    def test_one_churn_registry(self):
+        """The kind-law name is the churn registry itself, not a twin."""
+        assert CHURN_KIND_LAWS is CHURN_MODELS
 
     def test_engines_registered(self):
         import repro.scenario.backends  # noqa: F401 -- populate ENGINES

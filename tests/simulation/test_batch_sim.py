@@ -644,9 +644,10 @@ class TestVariantEquivalence:
             adversary=adversary,
             kind_schedule=law.schedule,
         )
+        rng = np.random.default_rng(7)
         stream = CHURN_MODELS.get(churn)(
-            np.random.default_rng(7), VARIANT_PARAMS, **options
-        )
+            rng, VARIANT_PARAMS, **options
+        ).events(rng)
         scalar = monte_carlo_summary(
             VARIANT_PARAMS,
             np.random.default_rng(47),

@@ -5,6 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.core.parameters import ModelParameters
+from repro.scenario.registry import CHURN_MODELS
 from repro.simulation.churn import (
     EventKind,
     bernoulli_event_stream,
@@ -253,7 +255,8 @@ class TestRegistryFactories:
 
         for name in CHURN_MODELS.names():
             factory = CHURN_MODELS.get(name)
-            stream = factory(np.random.default_rng(5), params)
+            rng = np.random.default_rng(5)
+            stream = factory(rng, params).events(rng)
             events = list(itertools.islice(stream, 10))
             assert len(events) == 10
             assert all(
@@ -264,8 +267,9 @@ class TestRegistryFactories:
         from repro.scenario.registry import CHURN_MODELS
 
         factory = CHURN_MODELS.get("bernoulli")
+        rng = np.random.default_rng(6)
         events = list(
-            itertools.islice(factory(np.random.default_rng(6), params), 4000)
+            itertools.islice(factory(rng, params).events(rng), 4000)
         )
         fraction = sum(e.kind is EventKind.JOIN for e in events) / 4000
         assert fraction == pytest.approx(params.p_join, abs=0.03)
@@ -274,8 +278,89 @@ class TestRegistryFactories:
         from repro.scenario.registry import CHURN_MODELS
 
         factory = CHURN_MODELS.get("poisson")
-        stream = factory(np.random.default_rng(7), params, rate=10.0)
+        rng = np.random.default_rng(7)
+        stream = factory(rng, params, rate=10.0).events(rng)
         events = list(itertools.islice(stream, 3000))
         fraction = sum(e.kind is EventKind.JOIN for e in events) / 3000
         assert fraction == pytest.approx(params.p_join, abs=0.03)
 
+
+
+class PinnedDraws:
+    """A generator stand-in whose draws sit at fixed points of their
+    laws: an exponential returns its scale, a Pareto (Lomax) draw 0."""
+
+    def exponential(self, scale=1.0):
+        return scale
+
+    def pareto(self, shape):
+        return 0.0
+
+
+class TestOneProcessPerModel:
+    """Every tier reads one law per churn model: the batch tier's kind
+    law and the timed stream of the scalar and agent tiers are the same
+    process."""
+
+    PARAMS = ModelParameters(core_size=7, spare_max=7, k=1, p_join=0.4)
+    SESSIONS = ("exponential-sessions", "pareto-sessions")
+
+    @pytest.mark.parametrize("churn", SESSIONS)
+    def test_session_stream_plays_the_schedule(self, churn):
+        rng = np.random.default_rng(31)
+        law = CHURN_MODELS.get(churn)(rng, self.PARAMS, horizon=500.0)
+        events = list(law.events(rng))
+        assert len(events) == law.schedule.size > 0
+        assert [
+            event.kind is EventKind.JOIN for event in events
+        ] == law.schedule.tolist()
+        times = [event.time for event in events]
+        assert all(a <= b for a, b in zip(times, times[1:]))
+
+    @pytest.mark.parametrize(
+        "churn, options",
+        (
+            ("exponential-sessions", {"mean_session": 1.0}),
+            ("pareto-sessions", {}),
+        ),
+    )
+    def test_session_ties_put_joins_first(self, churn, options):
+        # Arrivals land on 1, 2, ..., 5 and every session lasts 1, so
+        # each later arrival ties with the previous departure.
+        law = CHURN_MODELS.get(churn)(
+            PinnedDraws(), self.PARAMS, horizon=6.0, **options
+        )
+        events = list(law.events(PinnedDraws()))
+        assert [event.time for event in events] == [
+            1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0, 5.0, 5.0, 6.0
+        ]
+        assert "".join(
+            "J" if event.kind is EventKind.JOIN else "L" for event in events
+        ) == "JJLJLJLJLL"
+        assert law.schedule.tolist() == [
+            event.kind is EventKind.JOIN for event in events
+        ]
+
+    def test_bernoulli_law_is_the_model_stream(self):
+        rng = np.random.default_rng(41)
+        law = CHURN_MODELS.get("bernoulli")(rng, self.PARAMS)
+        assert law.p_join == self.PARAMS.p_join
+        reference = bernoulli_event_stream(
+            np.random.default_rng(41), p_join=self.PARAMS.p_join
+        )
+        assert list(itertools.islice(law.events(rng), 500)) == list(
+            itertools.islice(reference, 500)
+        )
+
+    def test_poisson_law_is_the_superposition(self):
+        rng = np.random.default_rng(42)
+        law = CHURN_MODELS.get("poisson")(rng, self.PARAMS, rate=3.0)
+        join_rate = 3.0 * self.PARAMS.p_join
+        leave_rate = 3.0 * self.PARAMS.p_leave
+        assert law.p_join == join_rate / (join_rate + leave_rate)
+        reference = poisson_event_stream(
+            np.random.default_rng(42), join_rate, leave_rate
+        )
+        assert list(itertools.islice(law.events(rng), 500)) == list(
+            itertools.islice(reference, 500)
+        )
