@@ -26,6 +26,7 @@ from repro.core.matrix import ClusterChain
 from repro.core.parameters import ModelParameters
 from repro.core.sojourn import SojournProfile
 from repro.core.statespace import State, StateSpace
+from repro.core.transitions import memoized
 from repro.markov.chain import MarkovChain
 
 #: Accepted forms of an initial-distribution specification.
@@ -162,3 +163,10 @@ class ClusterModel:
         return polluted_time_survival(
             self.chain, self._initial(initial), horizon
         )
+
+
+def cluster_model(params: ModelParameters) -> ClusterModel:
+    """The shared :class:`ClusterModel` of ``params``: its chain and
+    solves are built once while the set is among the 64 most recent
+    (see :func:`~repro.core.transitions.memoized`)."""
+    return memoized(params, "model", lambda: ClusterModel(params))

@@ -40,13 +40,19 @@ Branch structure (root probabilities ``p_j = p_l = 1/2``):
     * malicious core member forced out (w.p. ``1 - d**x``): if the
       remainder still holds the quorum (``x - 1 > c``) the adversary
       biases the replacement, else maintenance ``tau(x-1, ., .)`` runs.
+
+Everything derived from one parameter set -- these laws, the sampled
+:class:`TransitionRows`, the batch engine's skip tables and the
+analytic model -- is kept in one bounded memo (:func:`memoized`).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import TypeVar
 
 import numpy as np
 
@@ -56,32 +62,94 @@ from repro.core.policies import STRONG_POLICY, CountAdversaryPolicy
 from repro.core.rules import property1_survival, rule1_triggers
 from repro.core.statespace import Category, State, StateSpace, StateSpaceError
 
+#: Event-kind selectors accepted by the policy-law derivation.
+KIND_JOIN = "join"
+KIND_LEAVE = "leave"
+KIND_MIXED = "mixed"
 
-@lru_cache(maxsize=None)
+# -- the per-parameter-set memo ----------------------------------------------
+
+#: Parameter sets whose derivations stay memoized.  ``repro report``'s
+#: grids touch 73 sets and come back to one after at most 55 others,
+#: the benchmark's engine mix never revisits a set across points, and a
+#: sweep of same-params points uses one.
+MEMO_SIZE = 64
+
+_T = TypeVar("_T")
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _derivations(params: ModelParameters) -> dict[Hashable, object]:
+    """Everything derived from ``params`` so far, by key.  Evicted
+    whole once ``params`` is not among the :data:`MEMO_SIZE` most
+    recently used parameter sets."""
+    return {}
+
+
+def memoized(
+    params: ModelParameters, key: Hashable, build: Callable[[], _T]
+) -> _T:
+    """``build()``, memoized under ``key`` among ``params``' derivations.
+
+    The one memo of the package: the Figure-2 laws of every state, every
+    :class:`TransitionRows` variant, the batch engine's skip tables and
+    the analytic :class:`~repro.core.cluster_model.ClusterModel` are
+    kept here while ``params`` is among the :data:`MEMO_SIZE` most
+    recently used parameter sets.  Thread-safe: threads deriving one
+    key at once may each build it, and they get equal values.
+    """
+    derived = _derivations(params)
+    value = derived.get(key)
+    if value is None:
+        value = derived.setdefault(key, build())
+    return value
+
+
+def clear_transition_caches() -> None:
+    """Drop every memoized derivation: laws, rows, skip tables, models."""
+    _derivations.cache_clear()
+
+
 def _transition_items(
-    state: State, params: ModelParameters
+    state: State,
+    params: ModelParameters,
+    policy: CountAdversaryPolicy | None = None,
+    kind: str = KIND_MIXED,
 ) -> tuple[tuple[State, float], ...]:
     """Memoized transition law as a hashable tuple of items.
 
-    Deriving the Figure-2 tree walks the maintenance kernel's
-    hypergeometric double sum for every maintenance edge, which
-    dominates chain-assembly time.  Both :class:`ModelParameters` and
-    :class:`State` are frozen/hashable, so the derivation is shared by
-    repeated chain assemblies (sweeps re-building ``ClusterChain``) and
-    by the batch-row precomputation in :func:`transition_rows`.
+    Without a ``policy`` this is the legacy Figure-2 law; with one, the
+    ``kind``-conditional law (join or leave, total mass 1) under it.
+    Deriving the tree walks the maintenance kernel's hypergeometric
+    double sum for every maintenance edge, which dominates
+    chain-assembly time.  The derivation is shared by repeated chain
+    assemblies (sweeps re-building ``ClusterChain``) and by the
+    batch-row precomputation in :func:`transition_rows`.
     """
-    s, x, y = state
-    delta = params.spare_max
-    if not 0 < s < delta:
-        raise StateSpaceError(
-            f"transitions are defined on transient states only, got s={s}"
-        )
-    law: dict[State, float] = defaultdict(float)
-    _add_join_branch(law, state, params)
-    _add_leave_branch(law, state, params)
-    return tuple(
-        (target, p) for target, p in law.items() if p > 0.0
-    )
+
+    def derive() -> tuple[tuple[State, float], ...]:
+        s, _, _ = state
+        if not 0 < s < params.spare_max:
+            raise StateSpaceError(
+                f"transitions are defined on transient states only, got s={s}"
+            )
+        law: dict[State, float] = defaultdict(float)
+        if policy is None:
+            _add_join_branch(law, state, params)
+            _add_leave_branch(law, state, params)
+        elif kind == KIND_JOIN:
+            _policy_add_join(law, state, params, policy, weight=1.0)
+        elif kind == KIND_LEAVE:
+            p_core = params.p_core(s)
+            _policy_add_spare_leave(
+                law, state, params, policy, weight=1.0 - p_core
+            )
+            _policy_add_core_leave(law, state, params, policy, weight=p_core)
+        else:
+            raise ValueError(f"kind must be join/leave, got {kind!r}")
+        return tuple((target, p) for target, p in law.items() if p > 0.0)
+
+    return memoized(params, ("law", state, policy, kind), derive)
 
 
 def transition_distribution(
@@ -97,13 +165,6 @@ def transition_distribution(
     returned dict is a fresh copy, safe for callers to mutate.
     """
     return dict(_transition_items(State(*state), params))
-
-
-def clear_transition_caches() -> None:
-    """Drop the memoized distributions and precomputed row tables."""
-    _transition_items.cache_clear()
-    _policy_items.cache_clear()
-    _ROW_CACHE.clear()
 
 
 def _add_join_branch(
@@ -303,12 +364,6 @@ def _add_maintenance(
 # process reduces, event-indexed, to a mixture (i.i.d. streams) or a
 # schedule (session streams) over the same two row tables.
 
-#: Event-kind selectors accepted by the policy-law derivation.
-KIND_JOIN = "join"
-KIND_LEAVE = "leave"
-KIND_MIXED = "mixed"
-
-
 def _policy_add_join(
     law: dict[State, float],
     state: State,
@@ -453,33 +508,6 @@ def _policy_add_voluntary(
     )
 
 
-@lru_cache(maxsize=None)
-def _policy_items(
-    state: State,
-    params: ModelParameters,
-    policy: CountAdversaryPolicy,
-    kind: str,
-) -> tuple[tuple[State, float], ...]:
-    """Memoized kind-conditional policy law (total mass 1)."""
-    s, _, _ = state
-    if not 0 < s < params.spare_max:
-        raise StateSpaceError(
-            f"transitions are defined on transient states only, got s={s}"
-        )
-    law: dict[State, float] = defaultdict(float)
-    if kind == KIND_JOIN:
-        _policy_add_join(law, state, params, policy, weight=1.0)
-    elif kind == KIND_LEAVE:
-        p_core = params.p_core(s)
-        _policy_add_spare_leave(
-            law, state, params, policy, weight=1.0 - p_core
-        )
-        _policy_add_core_leave(law, state, params, policy, weight=p_core)
-    else:
-        raise ValueError(f"kind must be join/leave, got {kind!r}")
-    return tuple((target, p) for target, p in law.items() if p > 0.0)
-
-
 def policy_transition_distribution(
     state: State,
     params: ModelParameters,
@@ -501,18 +529,18 @@ def policy_transition_distribution(
     if policy is None:
         policy = STRONG_POLICY
     if kind in (KIND_JOIN, KIND_LEAVE):
-        return dict(_policy_items(state, params, policy, kind))
+        return dict(_transition_items(state, params, policy, kind))
     if kind != KIND_MIXED:
         raise ValueError(f"kind must be join/leave/mixed, got {kind!r}")
     p = params.p_join if p_join is None else float(p_join)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p_join must be in [0, 1], got {p}")
     law: dict[State, float] = defaultdict(float)
-    for target, probability in _policy_items(
+    for target, probability in _transition_items(
         state, params, policy, KIND_JOIN
     ):
         law[target] += p * probability
-    for target, probability in _policy_items(
+    for target, probability in _transition_items(
         state, params, policy, KIND_LEAVE
     ):
         law[target] += (1.0 - p) * probability
@@ -543,12 +571,10 @@ CODE_POLLUTED_SPLIT = CATEGORY_CODES[Category.POLLUTED_SPLIT]
 
 
 @dataclass(frozen=True)
-class TransitionRows:
-    """Dense, padded one-step law of the whole chain for one parameter set.
+class SamplingTable:
+    """Padded inverse-CDF rows: one discrete law per model state.
 
-    Row ``i`` describes model state ``i`` in the canonical
-    :class:`~repro.core.statespace.StateSpace` ordering.  Each row lists
-    its (few) reachable targets left-aligned:
+    Row ``i`` lists its (few) reachable targets left-aligned:
 
     * ``targets[i, j]`` -- model index of the ``j``-th target; padding
       columns repeat the last real target,
@@ -557,38 +583,90 @@ class TransitionRows:
       transition is an inverse-CDF lookup: the drawn column is the first
       ``j`` with ``cum_probs[i, j] > u``.
 
-    Closed states carry probability-one self loops, which lets a batch
-    stepper advance a mixed live/absorbed index array uniformly.
-    ``category_codes`` maps every model state to its
-    :data:`CATEGORY_CODES` entry and ``state_index`` is a dense
-    ``(Delta+1, C+1, Delta+1)`` lookup from ``(s, x, y)`` to the model
-    index (``-1`` for tuples outside the matrix).  All arrays are
-    read-only; they are shared across every consumer of the cache.
+    All arrays are read-only; they are shared by every consumer of the
+    memo.
     """
 
-    params: ModelParameters
     targets: np.ndarray
     probs: np.ndarray
     cum_probs: np.ndarray
-    category_codes: np.ndarray
-    state_index: np.ndarray
-    #: Count-level policy the rows were derived for (``None`` = the
-    #: legacy strong-adversary derivation, byte-exact with PR 1).
-    policy: CountAdversaryPolicy | None = None
-    #: Event-kind conditioning: ``"mixed"``, ``"join"`` or ``"leave"``.
-    kind: str = KIND_MIXED
-    #: Join probability of a mixed law (``None`` = ``params.p_join``).
-    p_join_mix: float | None = None
+
+    @classmethod
+    def pad(cls, per_row: list[list[tuple[int, float]]], **fields):
+        """Table of per-row ``(target, probability)`` lists, padded to
+        the widest row; ``fields`` fills a subclass's own fields."""
+        width = max(len(items) for items in per_row)
+        targets = np.empty((len(per_row), width), dtype=np.intp)
+        probs = np.zeros((len(per_row), width))
+        for i, items in enumerate(per_row):
+            count = len(items)
+            targets[i, :count] = [index for index, _ in items]
+            targets[i, count:] = items[-1][0]
+            probs[i, :count] = [p for _, p in items]
+        cum_probs = probs.cumsum(axis=1)
+        # Guarantee the final column covers every uniform draw in [0, 1)
+        # despite float summation drift (the padding keeps monotonicity).
+        cum_probs[:, -1] = np.maximum(cum_probs[:, -1], 1.0)
+        for array in (targets, probs, cum_probs):
+            array.setflags(write=False)
+        return cls(targets=targets, probs=probs, cum_probs=cum_probs, **fields)
 
     @property
     def n_states(self) -> int:
-        """Number of model states (matrix rows)."""
+        """Number of model states (table rows)."""
         return self.targets.shape[0]
 
     @property
     def width(self) -> int:
         """Padded row width (maximal number of distinct targets)."""
         return self.targets.shape[1]
+
+    @cached_property
+    def flat_cum(self) -> np.ndarray:
+        """``cum_probs`` with row ``i`` shifted by ``2 i``, flattened: the
+        query ``2 i + u`` lands inside row ``i``'s segment, so one
+        :func:`numpy.searchsorted` samples every row at once."""
+        n = self.cum_probs.shape[0]
+        flat = (self.cum_probs + 2.0 * np.arange(n)[:, None]).ravel()
+        flat.setflags(write=False)
+        return flat
+
+    def sample(self, indices: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        """One target per state of ``indices``, inverting its row's CDF
+        at the matching uniform of ``draws``."""
+        flat = np.searchsorted(
+            self.flat_cum, 2.0 * indices + draws, side="right"
+        )
+        columns = flat - indices.astype(np.intp, copy=False) * self.width
+        return self.targets[indices, columns]
+
+
+@dataclass(frozen=True)
+class TransitionRows(SamplingTable):
+    """Dense, padded one-step law of the whole chain for one parameter set.
+
+    Row ``i`` of the :class:`SamplingTable` describes model state ``i``
+    in the canonical :class:`~repro.core.statespace.StateSpace`
+    ordering.  Closed states carry probability-one self loops, which
+    lets a batch stepper advance a mixed live/absorbed index array
+    uniformly.  ``category_codes`` maps every model state to its
+    :data:`CATEGORY_CODES` entry and ``state_index`` is a dense
+    ``(Delta+1, C+1, Delta+1)`` lookup from ``(s, x, y)`` to the model
+    index (``-1`` for tuples outside the matrix).  Built by
+    :func:`transition_rows`, and shared while the set is among the
+    :data:`MEMO_SIZE` most recent.
+    """
+
+    params: ModelParameters
+    category_codes: np.ndarray
+    state_index: np.ndarray
+    #: Count-level policy the rows were derived for (``None`` = the
+    #: legacy strong-adversary derivation, the byte-exact reference).
+    policy: CountAdversaryPolicy | None = None
+    #: Event-kind conditioning: ``"mixed"``, ``"join"`` or ``"leave"``.
+    kind: str = KIND_MIXED
+    #: Join probability of a mixed law (``None`` = ``params.p_join``).
+    p_join_mix: float | None = None
 
     def index_of(self, state: State) -> int:
         """Model index of ``state``; raises on non-model states."""
@@ -618,12 +696,8 @@ class TransitionRows:
         return matrix
 
 
-_ROW_CACHE: dict[tuple, TransitionRows] = {}
-
-
 def _assemble_rows(
     params: ModelParameters,
-    space: StateSpace,
     items_fn,
     *,
     policy: CountAdversaryPolicy | None,
@@ -634,9 +708,10 @@ def _assemble_rows(
 
     ``items_fn(state) -> iterable[(State, prob)]`` supplies the law of
     each transient state; closed states carry probability-one self
-    loops.  Shared by the legacy strong-adversary rows and every
-    policy/kind variant.
+    loops.  The legacy rows (no ``policy``) cover the paper's matrix
+    states, every policy/kind variant the polluted-split class too.
     """
+    space = StateSpace(params, include_polluted_split=policy is not None)
     states = space.model_states
     n_transient = len(space.transient)
     per_row: list[list[tuple[int, float]]] = []
@@ -649,19 +724,6 @@ def _assemble_rows(
         else:
             items = [(i, 1.0)]
         per_row.append(items)
-    width = max(len(items) for items in per_row)
-    n = len(per_row)
-    targets = np.empty((n, width), dtype=np.intp)
-    probs = np.zeros((n, width))
-    for i, items in enumerate(per_row):
-        count = len(items)
-        targets[i, :count] = [index for index, _ in items]
-        targets[i, count:] = items[-1][0]
-        probs[i, :count] = [p for _, p in items]
-    cum_probs = probs.cumsum(axis=1)
-    # Guarantee the final column covers every uniform draw in [0, 1)
-    # despite float summation drift (the padding keeps monotonicity).
-    cum_probs[:, -1] = np.maximum(cum_probs[:, -1], 1.0)
     category_codes = np.array(
         [CATEGORY_CODES[space.categorize(state)] for state in states],
         dtype=np.int8,
@@ -672,13 +734,11 @@ def _assemble_rows(
     )
     for i, (s, x, y) in enumerate(states):
         state_index[s, x, y] = i
-    for array in (targets, probs, cum_probs, category_codes, state_index):
+    for array in (category_codes, state_index):
         array.setflags(write=False)
-    return TransitionRows(
+    return TransitionRows.pad(
+        per_row,
         params=params,
-        targets=targets,
-        probs=probs,
-        cum_probs=cum_probs,
         category_codes=category_codes,
         state_index=state_index,
         policy=policy,
@@ -697,11 +757,12 @@ def transition_rows(
     """Memoized :class:`TransitionRows` for one parameter set.
 
     With the default arguments this is the paper's exact chain, built
-    once per :class:`ModelParameters` through the legacy (byte-exact)
-    derivation; chain assembly (:class:`~repro.core.matrix.ClusterChain`)
-    scatters the rows into its dense matrix and the batch Monte-Carlo
-    engine samples them directly, so the Figure-2 tree is derived
-    exactly once per parameter point across the whole process.
+    through the legacy (byte-exact) derivation; chain assembly
+    (:class:`~repro.core.matrix.ClusterChain`) scatters the rows into
+    its dense matrix and the batch Monte-Carlo engine samples them
+    directly, so the Figure-2 tree is derived once per parameter point
+    while the set is among the :data:`MEMO_SIZE` most recent (see
+    :func:`memoized`).
 
     Passing a :class:`~repro.core.policies.CountAdversaryPolicy`, an
     event-kind conditioning (:data:`KIND_JOIN` / :data:`KIND_LEAVE`) or
@@ -710,39 +771,23 @@ def transition_rows(
     enumerated over the full space including the polluted-split closed
     class (policies that drop Rule 2 can reach it), so their state
     indexing is a superset of -- but not interchangeable with -- the
-    legacy rows; each variant is cached under its own key.
+    legacy rows; each variant is memoized under its own key.
     """
-    legacy = policy is None and kind == KIND_MIXED and p_join is None
-    key = (
-        params
-        if legacy
-        else (params, policy or STRONG_POLICY, kind, p_join)
-    )
-    cached = _ROW_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if legacy:
-        space = StateSpace(params)
-        rows = _assemble_rows(
-            params,
-            space,
-            lambda state: _transition_items(state, params),
-            policy=None,
-            kind=KIND_MIXED,
-            p_join_mix=None,
-        )
+    if policy is None and kind == KIND_MIXED and p_join is None:
+        def law(state):
+            return _transition_items(state, params)
     else:
-        resolved = policy or STRONG_POLICY
-        space = StateSpace(params, include_polluted_split=True)
-        rows = _assemble_rows(
-            params,
-            space,
-            lambda state: policy_transition_distribution(
-                state, params, resolved, kind=kind, p_join=p_join
-            ).items(),
-            policy=resolved,
-            kind=kind,
-            p_join_mix=p_join,
-        )
-    _ROW_CACHE[key] = rows
-    return rows
+        policy = policy or STRONG_POLICY
+
+        def law(state):
+            return policy_transition_distribution(
+                state, params, policy, kind=kind, p_join=p_join
+            ).items()
+
+    return memoized(
+        params,
+        ("rows", policy, kind, p_join),
+        lambda: _assemble_rows(
+            params, law, policy=policy, kind=kind, p_join_mix=p_join
+        ),
+    )

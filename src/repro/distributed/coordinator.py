@@ -231,10 +231,14 @@ class SweepCoordinator:
         return asyncio.run(self.serve())
 
     def request_stop(self) -> None:
-        """Thread-safe early stop (pending points stay in the ledger)."""
+        """Thread-safe early stop (pending points stay in the ledger); a
+        no-op once the run has ended."""
         self._stopped = True
         if self._loop is not None and self._complete is not None:
-            self._loop.call_soon_threadsafe(self._complete.set)
+            try:
+                self._loop.call_soon_threadsafe(self._complete.set)
+            except RuntimeError:
+                pass  # loop already closed: the run has ended
 
     async def serve(self) -> dict[str, Any]:
         """Serve workers until every point is terminal; return a summary."""

@@ -43,15 +43,13 @@ modules, preserved so their outputs stay byte-identical.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.core.cluster_model import ClusterModel
+from repro.core.cluster_model import cluster_model
 from repro.core.overlay_model import OverlayModel
-from repro.core.parameters import ModelParameters
 from repro.core.policies import CountAdversaryPolicy
 from repro.overlay.overlay import OverlayConfig
 from repro.scenario.registry import CHURN_MODELS, ENGINES
@@ -116,14 +114,6 @@ class SimulationBackend(Protocol):
 
 
 # -- shared helpers ----------------------------------------------------------
-
-@functools.lru_cache(maxsize=128)
-def _model_for(params: ModelParameters) -> ClusterModel:
-    """Per-process memo of built models (chains dominate analytic run
-    cost); LRU-bounded so grid-scale sweeps cannot grow it without
-    limit."""
-    return ClusterModel(params)
-
 
 def _spec_rng(spec: ScenarioSpec, *branch: int) -> np.random.Generator:
     """The generator for a spec (optionally a replication branch).
@@ -345,7 +335,7 @@ class AnalyticBackend:
         initial = _analytic_initial(spec, self.name)
         options = dict(spec.options)
         families = str(options.get("metrics", "times")).split(",")
-        model = _model_for(spec.params)
+        model = cluster_model(spec.params)
         metrics: dict[str, float] = {}
         for family in families:
             family = family.strip()
@@ -390,7 +380,7 @@ class OverlayAnalyticBackend:
     def run(self, spec: ScenarioSpec) -> ScenarioResult:
         _require_strong_bernoulli(spec, self.name)
         initial = _analytic_initial(spec, self.name)
-        model = _model_for(spec.params)
+        model = cluster_model(spec.params)
         overlay = OverlayModel(model.params, spec.n, chain=model.chain)
         series = overlay.proportion_series(
             initial, spec.events, record_every=spec.record_every

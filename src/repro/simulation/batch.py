@@ -10,10 +10,12 @@ a population advances per event batch with two NumPy primitives:
 
 1. **gather** the precomputed cumulative transition rows of the current
    state indices (:func:`repro.core.transitions.transition_rows`, built
-   once per :class:`~repro.core.parameters.ModelParameters` and shared
-   with :class:`~repro.core.matrix.ClusterChain` assembly), and
+   once per :class:`~repro.core.parameters.ModelParameters` while the
+   set is among the 64 most recent, and shared with
+   :class:`~repro.core.matrix.ClusterChain` assembly), and
 2. **searchsorted** one uniform draw per cluster against those rows --
-   inverse-CDF sampling of all transitions in a single call.
+   inverse-CDF sampling of all transitions in a single call
+   (:meth:`~repro.core.transitions.SamplingTable.sample`).
 
 Three extensions make the batch tier the universal fast path:
 
@@ -54,6 +56,7 @@ arguments reproduce the PR 1 behaviour draw for draw.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -70,7 +73,9 @@ from repro.core.transitions import (
     CODE_SAFE_SPLIT,
     KIND_JOIN,
     KIND_LEAVE,
+    SamplingTable,
     TransitionRows,
+    memoized,
     transition_rows,
 )
 from repro.simulation.cluster_sim import (
@@ -116,112 +121,60 @@ def _phase(name: str):
     return obs_metrics.timed(_PHASE_SECONDS, _PHASE_CALLS, phase=name)
 
 
-def _flat_offsets(cum_probs: np.ndarray) -> np.ndarray:
-    """Row-shifted flattening of cumulative rows for one searchsorted.
-
-    Row ``i``'s cumulative probabilities are shifted by ``2 i``, so the
-    query ``2 i + u`` lands inside row ``i``'s segment and the returned
-    flat position, minus the row origin, is the drawn column.
-    """
-    n = cum_probs.shape[0]
-    return (cum_probs + 2.0 * np.arange(n)[:, None]).ravel()
-
-
 @dataclass(frozen=True)
-class _KindTable:
-    """Padded sampling table of one kind-conditional row set."""
-
-    targets: np.ndarray
-    flat_cum: np.ndarray
-    width: int
-
-
-@dataclass(frozen=True)
-class _SkipTables:
+class _SkipTables(SamplingTable):
     """Geometric skip-sampling tables derived from one row set.
 
     ``inv_log_stay[i]`` is ``1 / log p_stay(i)`` (``-0.0`` when the
     state has no self loop, so ``log(u) * inv_log_stay`` is ``+0`` and
     the dwell collapses to one event; ``-inf`` when it never leaves, so
-    the dwell saturates at the caller's cap); ``targets``/``flat_cum``
-    sample the conditional landing law with the self loop removed.
+    the dwell saturates at the caller's cap); the table's rows are the
+    conditional landing law with the self loop removed.
     """
 
     inv_log_stay: np.ndarray
-    targets: np.ndarray
-    flat_cum: np.ndarray
-    width: int
-
-
-#: Skip tables per logical row identity.  The key mirrors the cache key
-#: of :func:`~repro.core.transitions.transition_rows` -- it fully
-#: determines the sampled law, so entries stay valid even if the row
-#: cache is cleared and rebuilt.
-_SKIP_CACHE: dict[tuple, _SkipTables] = {}
-
-
-def _skip_cache_key(rows: TransitionRows) -> tuple:
-    return (rows.params, rows.policy, rows.kind, rows.p_join_mix)
 
 
 def _build_skip_tables(rows: TransitionRows) -> _SkipTables:
-    key = _skip_cache_key(rows)
-    cached = _SKIP_CACHE.get(key)
-    if cached is not None:
-        return cached
-    n, width = rows.targets.shape
-    own = rows.targets == np.arange(n)[:, None]
-    stay = np.where(own, rows.probs, 0.0).sum(axis=1)
-    with np.errstate(divide="ignore"):
-        log_stay = np.log(np.clip(stay, 0.0, 1.0))
-        inv_log_stay = 1.0 / log_stay
-    # log(0) = -inf inverts to -0.0 (no self loop: dwell 1); log(1) = 0
-    # inverts to +inf, flipped to -inf so the dwell saturates upward.
-    inv_log_stay[np.isposinf(inv_log_stay)] = -np.inf
-    per_row: list[list[tuple[int, float]]] = []
-    for i in range(n):
-        leave_mass = 1.0 - stay[i]
-        items = [
-            (int(rows.targets[i, j]), float(rows.probs[i, j]) / leave_mass)
-            for j in range(width)
-            if rows.probs[i, j] > 0.0 and rows.targets[i, j] != i
-        ]
-        if not items:
-            # Absorbing (or degenerate never-leaving) state: the dwell
-            # draw returns the cap first, so this row is never sampled.
-            items = [(i, 1.0)]
-        per_row.append(items)
-    cond_width = max(len(items) for items in per_row)
-    targets = np.empty((n, cond_width), dtype=np.intp)
-    probs = np.zeros((n, cond_width))
-    for i, items in enumerate(per_row):
-        count = len(items)
-        targets[i, :count] = [index for index, _ in items]
-        targets[i, count:] = items[-1][0]
-        probs[i, :count] = [p for _, p in items]
-    cum = probs.cumsum(axis=1)
-    cum[:, -1] = np.maximum(cum[:, -1], 1.0)
-    for array in (inv_log_stay, targets):
-        array.setflags(write=False)
-    flat = _flat_offsets(cum)
-    flat.setflags(write=False)
-    tables = _SkipTables(
-        inv_log_stay=inv_log_stay,
-        targets=targets,
-        flat_cum=flat,
-        width=cond_width,
-    )
-    _SKIP_CACHE[key] = tables
-    return tables
+    """The skip tables of ``rows``, memoized with them."""
+
+    def derive() -> _SkipTables:
+        n, width = rows.targets.shape
+        own = rows.targets == np.arange(n)[:, None]
+        stay = np.where(own, rows.probs, 0.0).sum(axis=1)
+        with np.errstate(divide="ignore"):
+            log_stay = np.log(np.clip(stay, 0.0, 1.0))
+            inv_log_stay = 1.0 / log_stay
+        # log(0) = -inf inverts to -0.0 (no self loop: dwell 1); log(1) = 0
+        # inverts to +inf, flipped to -inf so the dwell saturates upward.
+        inv_log_stay[np.isposinf(inv_log_stay)] = -np.inf
+        inv_log_stay.setflags(write=False)
+        per_row: list[list[tuple[int, float]]] = []
+        for i in range(n):
+            leave_mass = 1.0 - stay[i]
+            items = [
+                (int(rows.targets[i, j]), float(rows.probs[i, j]) / leave_mass)
+                for j in range(width)
+                if rows.probs[i, j] > 0.0 and rows.targets[i, j] != i
+            ]
+            if not items:
+                # Absorbing (or degenerate never-leaving) state: the dwell
+                # draw returns the cap first, so this row is never sampled.
+                items = [(i, 1.0)]
+            per_row.append(items)
+        return _SkipTables.pad(per_row, inv_log_stay=inv_log_stay)
+
+    key = ("skip", rows.policy, rows.kind, rows.p_join_mix)
+    return memoized(rows.params, key, derive)
 
 
 class BatchClusterEngine:
     """Vectorized sampler of the cluster chain for one parameter set.
 
-    Holds the shared :class:`~repro.core.transitions.TransitionRows`
-    plus the flattened row-offset trick that turns per-row inverse-CDF
-    sampling into a single :func:`numpy.searchsorted` over the whole
-    batch (see :func:`_flat_offsets`).
+    Holds the shared :class:`~repro.core.transitions.TransitionRows`,
+    memoized while the parameter set is among the 64 most recent, and
+    samples them with one :func:`numpy.searchsorted` over the whole
+    batch (:meth:`~repro.core.transitions.SamplingTable.sample`).
 
     ``policy`` selects a count-level adversary (name, record or ``None``
     for the paper's strong adversary), ``p_join`` overrides the join
@@ -256,19 +209,19 @@ class BatchClusterEngine:
             else:
                 self._policy = None
                 rows = transition_rows(params)
-            self._p_join = p_join
             self._rows = rows
-            self._targets = rows.targets
-            self._width = rows.width
             codes = rows.category_codes
             self._codes = codes
             self._transient = codes <= CODE_POLLUTED
             self._polluted = codes == CODE_POLLUTED
-            self._flat_cum = _flat_offsets(rows.cum_probs)
-            self._skip: _SkipTables | None = None
-            self._kind_tables: dict[str, _KindTable] | None = None
+            self._kind_rows: dict[str, TransitionRows] | None = None
             if with_kind_rows:
-                self._build_kind_tables()
+                self._kind_rows = {
+                    kind: transition_rows(
+                        params, policy=self._policy, kind=kind
+                    )
+                    for kind in (KIND_JOIN, KIND_LEAVE)
+                }
 
     # -- accessors ----------------------------------------------------------
 
@@ -343,25 +296,7 @@ class BatchClusterEngine:
         batches are valid (an absorbed entry consumes one uniform draw
         and stays put).
         """
-        draws = self._rng.random(indices.size)
-        flat = np.searchsorted(
-            self._flat_cum, 2.0 * indices + draws, side="right"
-        )
-        columns = flat - indices.astype(np.intp, copy=False) * self._width
-        return self._targets[indices, columns]
-
-    def _build_kind_tables(self) -> None:
-        tables = {}
-        for kind in (KIND_JOIN, KIND_LEAVE):
-            rows = transition_rows(
-                self._params, policy=self._policy, kind=kind
-            )
-            flat = _flat_offsets(rows.cum_probs)
-            flat.setflags(write=False)
-            tables[kind] = _KindTable(
-                targets=rows.targets, flat_cum=flat, width=rows.width
-            )
-        self._kind_tables = tables
+        return self._rows.sample(indices, self._rng.random(indices.size))
 
     def step_kinds(
         self, indices: np.ndarray, joins: np.ndarray
@@ -373,34 +308,25 @@ class BatchClusterEngine:
         join group is drawn before the leave group, so results are
         deterministic for a seeded generator.
         """
-        if self._kind_tables is None:
+        if self._kind_rows is None:
             raise RuntimeError(
                 "engine built without kind rows; pass with_kind_rows=True"
             )
         out = np.empty(indices.shape, dtype=indices.dtype)
         for mask, kind in ((joins, KIND_JOIN), (~joins, KIND_LEAVE)):
             subset = indices[mask]
-            if subset.size == 0:
-                continue
-            table = self._kind_tables[kind]
-            draws = self._rng.random(subset.size)
-            flat = np.searchsorted(
-                table.flat_cum, 2.0 * subset + draws, side="right"
-            )
-            columns = (
-                flat - subset.astype(np.intp, copy=False) * table.width
-            )
-            out[mask] = table.targets[subset, columns]
+            if subset.size:
+                out[mask] = self._kind_rows[kind].sample(
+                    subset, self._rng.random(subset.size)
+                )
         return out
 
     # -- event-axis skip sampling -------------------------------------------
 
-    @property
+    @cached_property
     def skip_tables(self) -> _SkipTables:
-        """Lazily built geometric skip tables for the mixed rows."""
-        if self._skip is None:
-            self._skip = _build_skip_tables(self._rows)
-        return self._skip
+        """Geometric skip tables for the mixed rows, built on first use."""
+        return _build_skip_tables(self._rows)
 
     def skip_dwell(self, indices: np.ndarray, cap: int) -> np.ndarray:
         """Events spent in each state until (and including) the exit.
@@ -425,13 +351,9 @@ class BatchClusterEngine:
 
     def skip_target(self, indices: np.ndarray) -> np.ndarray:
         """Landing states conditioned on leaving (self loops removed)."""
-        tables = self.skip_tables
-        draws = self._rng.random(indices.size)
-        flat = np.searchsorted(
-            tables.flat_cum, 2.0 * indices + draws, side="right"
+        return self.skip_tables.sample(
+            indices, self._rng.random(indices.size)
         )
-        columns = flat - indices.astype(np.intp, copy=False) * tables.width
-        return tables.targets[indices, columns]
 
 
 @dataclass(frozen=True)

@@ -288,3 +288,124 @@ class TestTransitionRows:
         rows = transition_rows(ModelParameters(mu=0.1, d=0.5, k=2))
         with pytest.raises(ValueError):
             rows.probs[0, 0] = 0.5
+
+
+class TestBoundedMemo:
+    """One LRU of ``MEMO_SIZE`` parameter sets holds everything derived
+    from them, and evicts a set whole."""
+
+    @staticmethod
+    def points(count, mu=0.011):
+        return [
+            ModelParameters(core_size=3, spare_max=3, mu=mu + 1e-6 * i, d=0.9)
+            for i in range(count)
+        ]
+
+    @staticmethod
+    def assert_equal_rows(first, second):
+        import numpy as np
+
+        for name in (
+            "targets", "probs", "cum_probs", "category_codes", "state_index"
+        ):
+            assert np.array_equal(getattr(first, name), getattr(second, name))
+
+    def test_keeps_the_most_recent_sets_and_evicts_the_oldest(self):
+        from repro.core.cluster_model import cluster_model
+        from repro.core.transitions import (
+            MEMO_SIZE,
+            _derivations,
+            transition_rows,
+        )
+
+        points = self.points(MEMO_SIZE + 8)
+        derived = [
+            (transition_rows(params), cluster_model(params))
+            for params in points[:MEMO_SIZE]
+        ]
+        transition_rows(points[0])  # now the most recent; points[1] the least
+        for params in points[MEMO_SIZE:]:
+            transition_rows(params)
+        assert _derivations.cache_info().currsize == MEMO_SIZE
+        # Residents answer from the memo (and so evict nothing): the
+        # refreshed first set and every set after the 8 evicted ones.
+        for index in (0, *range(9, MEMO_SIZE)):
+            assert transition_rows(points[index]) is derived[index][0]
+        # The 8 least recently used went, whole: rows and model rebuild.
+        rows, model = derived[1]
+        rebuilt = transition_rows(points[1])
+        assert rebuilt is not rows
+        assert cluster_model(points[1]) is not model
+        self.assert_equal_rows(rebuilt, rows)
+        assert _derivations.cache_info().currsize == MEMO_SIZE
+
+    def test_evicted_variant_rows_rebuild_equal(self):
+        from repro.core.policies import PASSIVE_POLICY
+        from repro.core.transitions import (
+            KIND_LEAVE,
+            MEMO_SIZE,
+            transition_rows,
+        )
+
+        first, *others = self.points(MEMO_SIZE + 1, mu=0.023)
+        variant = {"policy": PASSIVE_POLICY, "kind": KIND_LEAVE}
+        rows = transition_rows(first, **variant)
+        for params in others:
+            transition_rows(params)
+        rebuilt = transition_rows(first, **variant)
+        assert rebuilt is not rows
+        self.assert_equal_rows(rebuilt, rows)
+
+    def test_clear_drops_skip_tables_and_models(self):
+        import numpy as np
+
+        from repro.core.cluster_model import cluster_model
+        from repro.core.transitions import clear_transition_caches
+        from repro.simulation.batch import BatchClusterEngine
+
+        params = ModelParameters(core_size=3, spare_max=3, mu=0.031, d=0.9)
+
+        def skip_tables():
+            engine = BatchClusterEngine(params, np.random.default_rng(1))
+            return engine.skip_tables
+
+        skip, model = skip_tables(), cluster_model(params)
+        assert skip_tables() is skip and cluster_model(params) is model
+        clear_transition_caches()
+        assert skip_tables() is not skip
+        assert cluster_model(params) is not model
+
+    def test_threads_building_one_set_get_equal_rows(self):
+        import sys
+        import threading
+
+        from repro.core.policies import PASSIVE_POLICY
+        from repro.core.transitions import transition_rows
+
+        params = ModelParameters(core_size=5, spare_max=5, mu=0.043, d=0.7)
+        count = 4  # more threads than cores
+        start = threading.Barrier(count)
+        built = []
+
+        def build():
+            start.wait()
+            built.append(transition_rows(params, policy=PASSIVE_POLICY))
+
+        threads = [
+            threading.Thread(target=build, daemon=True) for _ in range(count)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(built) == count
+        for rows in built[1:]:
+            self.assert_equal_rows(rows, built[0])
+        memo = transition_rows(params, policy=PASSIVE_POLICY)
+        assert any(rows is memo for rows in built)

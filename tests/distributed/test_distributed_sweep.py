@@ -201,6 +201,15 @@ class TestOrderlyDrain:
             assert stats["reconnects"] == 0
         assert sum(stats["executed"] for stats, _ in returned.values()) == 1
 
+    def test_stop_after_the_run_ended_is_a_no_op(self, tmp_path):
+        """A stop that arrives once ``run()`` has returned and closed
+        its event loop (a supervisor's stop racing a coordinator that
+        just finished) changes nothing and raises nothing."""
+        coordinator = SweepCoordinator([], cache_dir=tmp_path / "cache")
+        summary = coordinator.run()
+        coordinator.request_stop()
+        assert summary["total"] == summary["done"] == 0
+
 
 class TestWorkerCrash:
     def test_killed_worker_claim_is_requeued(self, tmp_path):

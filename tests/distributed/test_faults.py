@@ -21,11 +21,13 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
 from repro.distributed import faults
+from repro.distributed.coordinator import SweepCoordinator
 from repro.distributed.faults import FaultPlan, FaultRule
 from repro.distributed.ledger import SweepLedger, replay_ledger
 from repro.distributed.protocol import (
@@ -409,10 +411,7 @@ def _spawn_worker(port, name, log, plan=None):
             name,
             "--connect-timeout",
             "90",
-            # Wide enough to ride a coordinator restart (~3s of boot),
-            # narrow enough that a worker whose backoff misses the
-            # short-lived final coordinator gives up promptly instead
-            # of padding the test with a full silent retry window.
+            # Wide enough to ride a coordinator restart (~3s of boot).
             "--reconnect-timeout",
             "20",
         ],
@@ -434,9 +433,11 @@ class TestSelfHealingSchedule:
         sixth result; before that, worker ``fi-w1`` has silently
         dropped its first RESULT frame on the wire.  Both workers ride
         the coordinator's death through jittered reconnect.  Run 3: a
-        clean coordinator compacts the ledger tail, resumes the 30-ish
-        unfinished points, and the sweep converges -- byte-identical
-        to a serial run, every fault provably fired.
+        clean in-process coordinator holds its first assignment until
+        both workers are back, compacts the ledger tail, resumes the
+        30-ish unfinished points and ends both workers with SHUTDOWN;
+        the sweep converges -- byte-identical to a serial run, every
+        fault provably fired.
         """
         specs = load_scenario_document(SELF_HEAL_DOCUMENT).expand()
         expected_keys = {spec.key() for spec in specs}
@@ -483,6 +484,21 @@ class TestSelfHealingSchedule:
         log = open(tmp_path / "schedule.log", "ab")
         workers = []
         coordinators = []
+        # Run 3 runs in this process; the CLI's recovery path is the
+        # same coordinator behind argument parsing.
+        recovery = SweepCoordinator(
+            specs,
+            cache_dir=cache,
+            ledger_path=ledger,
+            port=port,
+            await_workers=2,
+            lease_timeout=60,
+            compact_tail_bytes=4096,
+        )
+        recovered = {}
+        recovery_thread = threading.Thread(
+            target=lambda: recovered.update(recovery.run()), daemon=True
+        )
 
         def run(plan):
             coordinators.append(
@@ -521,16 +537,20 @@ class TestSelfHealingSchedule:
             )
             workers.append(_spawn_worker(port, "fi-w2", log))
             exit_codes.append(finish(coordinator))
-            exit_codes.append(finish(run(None)))
+            recovery_thread.start()
+            recovery_thread.join(timeout=max(deadline - time.monotonic(), 0))
+            assert not recovery_thread.is_alive(), "self-heal budget exhausted"
             # Run 1 died on the torn append, run 2 on the scripted
             # kill, run 3 converged.
             assert exit_codes[0] not in (0, None)
             assert exit_codes[1] == faults.DEFAULT_EXIT_CODE
-            assert exit_codes[2] == 0
+            assert recovered["done"] == recovered["total"] == len(specs)
+            assert not recovered["failed"] and recovered["pending"] == 0
             for worker in workers:
                 remaining = max(deadline - time.monotonic(), 1.0)
                 assert worker.wait(timeout=remaining) == 0
         finally:
+            recovery.request_stop()
             for process in workers + coordinators:
                 if process.poll() is None:
                     process.kill()

@@ -59,3 +59,70 @@ class TestMonteCarloGrid:
 
         rendered = render_empirical_table2(empirical_table2(runs=2000))
         assert rendered + "\n" == golden("montecarlo_table2.txt")
+
+
+#: The engine-identity grid: every churn variant and adversary on every
+#: tier that samples or solves the transition rows (legacy, variant,
+#: kind-conditional and skip tables), at one small parameter point.
+IDENTITY_CHURN = (
+    ("bernoulli", {}),
+    ("bernoulli", {"p_join": 0.45}),
+    ("poisson", {}),
+    ("exponential-sessions", {"horizon": 5e3}),
+    ("pareto-sessions", {"horizon": 5e3, "shape": 2.0}),
+)
+IDENTITY_ADVERSARIES = ("strong", "greedy-leave")
+IDENTITY_ENGINES = (
+    ("analytic", {}),
+    ("overlay-analytic", {"n": 60, "events": 600, "record_every": 150}),
+    ("batch", {"runs": 300}),
+    ("batch", {"runs": 300, "options": {"mode": "skip"}}),
+    ("competing-batch", {"n": 60, "events": 600, "record_every": 150}),
+    (
+        "competing-batch",
+        {
+            "n": 60,
+            "events": 600,
+            "record_every": 150,
+            "options": {"event_batching": True},
+        },
+    ),
+)
+
+
+def render_engine_identity() -> list[str]:
+    """One sorted-key JSON line per grid point: the result's
+    ``to_dict()``, or the refusal as ``"<error type>: <message>"``."""
+    import json
+
+    from repro.core.parameters import ModelParameters
+    from repro.scenario import ScenarioSpec
+    from repro.scenario.runner import execute_spec
+
+    params = ModelParameters(core_size=7, spare_max=7, k=1, mu=0.2, d=0.9)
+    lines = []
+    for churn, churn_options in IDENTITY_CHURN:
+        for adversary in IDENTITY_ADVERSARIES:
+            for engine, fields in IDENTITY_ENGINES:
+                spec = dict(
+                    fields,
+                    name="engine-identity",
+                    params=params,
+                    seed=11,
+                    engine=engine,
+                    churn=churn,
+                    churn_options=churn_options,
+                    adversary=adversary,
+                )
+                try:
+                    line = execute_spec(ScenarioSpec(**spec)).to_dict()
+                except Exception as error:  # noqa: BLE001 - refusals
+                    line = f"{type(error).__name__}: {error}"
+                lines.append(json.dumps(line, sort_keys=True))
+    return lines
+
+
+class TestEngineIdentity:
+    def test_engine_tiers_byte_identical(self):
+        rendered = "\n".join(render_engine_identity()) + "\n"
+        assert rendered == golden("engine_identity.jsonl")
