@@ -11,11 +11,8 @@ from repro.analysis.experiments import (
     TABLE1_MU_GRID,
     TABLE2_D,
     TABLE2_MU_GRID,
-    ModelCache,
-    SweepPoint,
     base_parameters,
     mu_percent,
-    sweep,
 )
 from repro.analysis.figure3 import (
     Figure3Cell,
@@ -56,10 +53,7 @@ from repro.analysis.table2 import (
 from repro.analysis.tables import format_value, render_comparison, render_table
 
 __all__ = [
-    "ModelCache",
-    "SweepPoint",
     "base_parameters",
-    "sweep",
     "mu_percent",
     "MU_GRID",
     "D_GRID",

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.adversary import resolve_adversary
-from repro.analysis.experiments import ModelCache, base_parameters
+from repro.analysis.experiments import base_parameters
 from repro.analysis.tables import render_table
 from repro.core.absorption import cluster_fate
+from repro.core.cluster_model import cluster_model
 from repro.core.initial import delta_distribution
 from repro.core.parameters import ModelParameters
 from repro.core.pollution_dynamics import pollution_onset
@@ -42,14 +43,12 @@ def compute_k_sweep(
     mu: float = 0.20,
     d: float = 0.90,
     initial: str = "delta",
-    cache: ModelCache | None = None,
 ) -> list[KSweepPoint]:
     """Evaluate the full k = 1..C randomization profile."""
-    cache = cache if cache is not None else ModelCache()
     points = []
     core_size = base_parameters().core_size
     for k in range(1, core_size + 1):
-        model = cache.get(base_parameters(k=k, mu=mu, d=d))
+        model = cluster_model(base_parameters(k=k, mu=mu, d=d))
         fate = model.cluster_fate(initial)
         points.append(
             KSweepPoint(
@@ -101,13 +100,11 @@ def compute_nu_sweep(
     d: float = 0.90,
     nu_grid: tuple[float, ...] = (0.01, 0.05, 0.10, 0.20, 0.40),
     initial: str = "delta",
-    cache: ModelCache | None = None,
 ) -> list[NuSweepPoint]:
     """Evaluate Rule 1's threshold sensitivity (needs k > 1)."""
-    cache = cache if cache is not None else ModelCache()
     points = []
     for nu in nu_grid:
-        model = cache.get(base_parameters(k=k, mu=mu, d=d, nu=nu))
+        model = cluster_model(base_parameters(k=k, mu=mu, d=d, nu=nu))
         fate = model.cluster_fate(initial)
         points.append(
             NuSweepPoint(

@@ -15,10 +15,6 @@ calls stay side-effect free and byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
-
-from repro.core.cluster_model import ClusterModel
 from repro.core.parameters import ModelParameters
 from repro.scenario import ScenarioSpec, SweepRunner
 
@@ -59,52 +55,6 @@ def base_parameters(**overrides) -> ModelParameters:
     }
     defaults.update(overrides)
     return ModelParameters(**defaults)
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One grid point with its evaluated metrics."""
-
-    params: ModelParameters
-    initial: str
-    metrics: dict[str, float]
-
-
-@dataclass
-class ModelCache:
-    """Memoizes :class:`ClusterModel` instances across a sweep.
-
-    Building the chain is the dominant cost of a sweep point; metrics
-    evaluated at the same ``(C, Delta, k, mu, d, nu)`` reuse the chain.
-    """
-
-    _models: dict[ModelParameters, ClusterModel] = field(default_factory=dict)
-
-    def get(self, params: ModelParameters) -> ClusterModel:
-        """The cached model for ``params`` (building it on first use)."""
-        if params not in self._models:
-            self._models[params] = ClusterModel(params)
-        return self._models[params]
-
-
-def sweep(
-    parameter_points: Iterator[tuple[ModelParameters, str]],
-    evaluate: Callable[[ClusterModel, str], dict[str, float]],
-    cache: ModelCache | None = None,
-) -> list[SweepPoint]:
-    """Evaluate ``evaluate(model, initial)`` over a parameter iterator."""
-    cache = cache if cache is not None else ModelCache()
-    results = []
-    for params, initial in parameter_points:
-        model = cache.get(params)
-        results.append(
-            SweepPoint(
-                params=params,
-                initial=initial,
-                metrics=evaluate(model, initial),
-            )
-        )
-    return results
 
 
 def mu_percent(mu: float) -> int:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from repro.analysis.experiments import (
     D_GRID,
     MU_GRID,
-    ModelCache,
     analysis_runner,
     analytic_spec,
     mu_percent,
@@ -63,11 +62,9 @@ def compute_figure3(
     initials: tuple[str, ...] = ("delta", "beta"),
     mu_grid: tuple[float, ...] = MU_GRID,
     d_grid: tuple[float, ...] = D_GRID,
-    cache: ModelCache | None = None,
     runner: SweepRunner | None = None,
 ) -> list[Figure3Cell]:
     """Evaluate every bar of the four panels through the sweep runner."""
-    del cache
     points = figure3_specs(k_values, initials, mu_grid, d_grid)
     results = analysis_runner(runner).sweep([spec for spec, _ in points])
     return [

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from repro.analysis.experiments import (
     D_GRID,
     MU_GRID,
-    ModelCache,
     analysis_runner,
     analytic_spec,
     mu_percent,
@@ -71,11 +70,9 @@ def compute_figure4(
     initials: tuple[str, ...] = ("delta", "beta"),
     mu_grid: tuple[float, ...] = MU_GRID,
     d_grid: tuple[float, ...] = D_GRID,
-    cache: ModelCache | None = None,
     runner: SweepRunner | None = None,
 ) -> list[Figure4Cell]:
     """Evaluate both panels of Figure 4 through the sweep runner."""
-    del cache
     points = figure4_specs(initials, mu_grid, d_grid)
     results = analysis_runner(runner).sweep([spec for spec, _ in points])
     return [

@@ -21,7 +21,6 @@ from repro.analysis.experiments import (
     FIGURE5_EVENTS,
     FIGURE5_MU,
     FIGURE5_N_GRID,
-    ModelCache,
     analysis_runner,
     scenario_spec,
 )
@@ -77,11 +76,9 @@ def compute_figure5(
     d_grid: tuple[float, ...] = FIGURE5_D_GRID,
     n_events: int = FIGURE5_EVENTS,
     record_every: int = 500,
-    cache: ModelCache | None = None,
     runner: SweepRunner | None = None,
 ) -> list[Figure5Curve]:
     """Evaluate the four curves of Figure 5 through the sweep runner."""
-    del cache
     points = figure5_specs(mu, n_grid, d_grid, n_events, record_every)
     results = analysis_runner(runner).sweep([spec for spec, _ in points])
     return [

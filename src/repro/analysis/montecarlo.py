@@ -30,7 +30,6 @@ import numpy as np
 from repro.analysis.experiments import (
     TABLE2_D,
     TABLE2_MU_GRID,
-    ModelCache,
     analysis_runner,
     base_parameters,
     mu_percent,
@@ -120,11 +119,9 @@ def empirical_table2(
     mu_grid: tuple[float, ...] = TABLE2_MU_GRID,
     d: float = TABLE2_D,
     seed: int = DEFAULT_SEED,
-    cache: ModelCache | None = None,
     runner: SweepRunner | None = None,
 ) -> list[EmpiricalTable2Row]:
     """Table II's grid with an empirical column per closed form."""
-    del cache
     results = analysis_runner(runner).sweep(
         empirical_table2_specs(runs, mu_grid, d, seed)
     )

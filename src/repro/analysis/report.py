@@ -21,7 +21,6 @@ from repro.analysis import figure4 as fig4
 from repro.analysis import figure5 as fig5
 from repro.analysis import table1 as tab1
 from repro.analysis import table2 as tab2
-from repro.analysis.experiments import ModelCache
 
 
 @dataclass(frozen=True)
@@ -42,12 +41,11 @@ def _code_block(text: str) -> str:
     return "```\n" + text + "\n```"
 
 
-def build_sections(cache: ModelCache | None = None) -> list[ReportSection]:
+def build_sections() -> list[ReportSection]:
     """Compute every experiment and wrap it as a report section."""
-    cache = cache if cache is not None else ModelCache()
     sections = []
 
-    cells1 = tab1.compute_table1(cache=cache)
+    cells1 = tab1.compute_table1()
     gap = tab1.max_relative_gap(cells1)
     sections.append(
         ReportSection(
@@ -58,7 +56,7 @@ def build_sections(cache: ModelCache | None = None) -> list[ReportSection]:
         )
     )
 
-    rows2 = tab2.compute_table2(cache=cache)
+    rows2 = tab2.compute_table2()
     sections.append(
         ReportSection(
             title="Table II — successive sojourn times",
@@ -71,7 +69,7 @@ def build_sections(cache: ModelCache | None = None) -> list[ReportSection]:
         )
     )
 
-    cells3 = fig3.compute_figure3(cache=cache)
+    cells3 = fig3.compute_figure3()
     checks3 = fig3.shape_checks(cells3)
     sections.append(
         ReportSection(
@@ -81,7 +79,7 @@ def build_sections(cache: ModelCache | None = None) -> list[ReportSection]:
         )
     )
 
-    cells4 = fig4.compute_figure4(cache=cache)
+    cells4 = fig4.compute_figure4()
     checks4 = fig4.shape_checks(cells4)
     sections.append(
         ReportSection(
@@ -91,7 +89,7 @@ def build_sections(cache: ModelCache | None = None) -> list[ReportSection]:
         )
     )
 
-    curves5 = fig5.compute_figure5(cache=cache)
+    curves5 = fig5.compute_figure5()
     checks5 = fig5.shape_checks(curves5)
     sections.append(
         ReportSection(
@@ -101,7 +99,7 @@ def build_sections(cache: ModelCache | None = None) -> list[ReportSection]:
         )
     )
 
-    k_points = ablations.compute_k_sweep(cache=cache)
+    k_points = ablations.compute_k_sweep()
     join_points = ablations.compute_join_policy_ablation()
     sections.append(
         ReportSection(
@@ -157,11 +155,9 @@ def render_report(sections: list[ReportSection]) -> str:
     return "\n".join(lines)
 
 
-def write_report(
-    path: pathlib.Path | str, cache: ModelCache | None = None
-) -> pathlib.Path:
+def write_report(path: pathlib.Path | str) -> pathlib.Path:
     """Build and persist the full report; returns its path."""
-    sections = build_sections(cache=cache)
+    sections = build_sections()
     target = pathlib.Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(render_report(sections))

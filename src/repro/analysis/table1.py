@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from repro.analysis.experiments import (
     TABLE1_D_GRID,
     TABLE1_MU_GRID,
-    ModelCache,
     analysis_runner,
     analytic_spec,
     mu_percent,
@@ -63,15 +62,8 @@ def table1_specs() -> list[ScenarioSpec]:
     ]
 
 
-def compute_table1(
-    cache: ModelCache | None = None, runner: SweepRunner | None = None
-) -> list[Table1Cell]:
-    """Evaluate every cell of Table I through the sweep runner.
-
-    ``cache`` is accepted for backward compatibility; model reuse now
-    happens in the analytic backend's per-process memo.
-    """
-    del cache
+def compute_table1(runner: SweepRunner | None = None) -> list[Table1Cell]:
+    """Evaluate every cell of Table I through the sweep runner."""
     results = analysis_runner(runner).sweep(table1_specs())
     grid = [(mu, d) for mu in TABLE1_MU_GRID for d in TABLE1_D_GRID]
     cells = []

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from repro.analysis.experiments import (
     TABLE2_D,
     TABLE2_MU_GRID,
-    ModelCache,
     analysis_runner,
     analytic_spec,
     mu_percent,
@@ -61,11 +60,8 @@ def table2_specs(
     ]
 
 
-def compute_table2(
-    cache: ModelCache | None = None, runner: SweepRunner | None = None
-) -> list[Table2Row]:
+def compute_table2(runner: SweepRunner | None = None) -> list[Table2Row]:
     """Evaluate Relations (7) and (8) for n = 1, 2 plus the totals."""
-    del cache
     results = analysis_runner(runner).sweep(table2_specs())
     rows = []
     for mu, result in zip(TABLE2_MU_GRID, results):

@@ -474,15 +474,11 @@ def _run_worker_command(arguments) -> int:
             worker_id=arguments.id,
             max_points=arguments.max_points,
             connect_timeout=arguments.connect_timeout,
-            heartbeat_every=(
-                arguments.heartbeat_every
-                if arguments.heartbeat_every > 0
-                else None
-            ),
+            heartbeat_every=arguments.heartbeat_every,
             store_dir=arguments.store_dir,
             reconnect_timeout=arguments.reconnect_timeout,
         )
-    except ProtocolError as error:
+    except (ProtocolError, ValueError) as error:
         print(f"worker error: {error}")
         return 1
     except OSError as error:
@@ -755,7 +751,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--heartbeat-every",
         type=float,
         default=15.0,
-        help="seconds between mid-point heartbeats (0 disables)",
+        help="seconds between mid-point heartbeats (must be > 0)",
     )
     worker.add_argument(
         "--store-dir",

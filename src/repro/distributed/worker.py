@@ -116,7 +116,7 @@ async def worker_loop(
     worker_id: str | None = None,
     max_points: int | None = None,
     connect_timeout: float = 10.0,
-    heartbeat_every: float | None = DEFAULT_HEARTBEAT,
+    heartbeat_every: float = DEFAULT_HEARTBEAT,
     store_dir: str | pathlib.Path | None = None,
     reconnect_timeout: float = 0.0,
 ) -> dict[str, Any]:
@@ -131,15 +131,19 @@ async def worker_loop(
     bounds the connect retries after a *torn* connection (0 disables:
     the historical die-on-disconnect behavior; exhausting this window
     returns normally -- the work done so far is real).
-    ``heartbeat_every`` spaces the mid-point HEARTBEAT frames
-    (``None`` disables them and runs points inline); ``store_dir`` (a
-    path to the *shared* result store) switches to worker-side
-    publishes + RESULT-REF frames.  Returns ``{"worker": id,
+    ``heartbeat_every`` spaces the mid-point HEARTBEAT frames (seconds,
+    > 0; anything else raises :class:`ValueError` before connecting);
+    ``store_dir`` (a path to the *shared* result store) switches to
+    worker-side publishes + RESULT-REF frames.  Returns ``{"worker": id,
     "executed": n, "failed": n, "published": n, "reconnects": n}``
     where ``executed`` counts only results the coordinator acked as
     stored and ``published`` counts the worker-side store writes among
     them.
     """
+    if not heartbeat_every > 0:
+        raise ValueError(
+            f"heartbeat_every must be > 0 seconds, got {heartbeat_every!r}"
+        )
     from repro.scenario.runner import execute_spec
 
     # Engine registration is boot cost, not sweep compute: warm it
@@ -167,8 +171,6 @@ async def worker_loop(
         promptly (reconnect, or exit) instead of blocking on a
         computation whose result nobody will collect.
         """
-        if heartbeat_every is None:
-            return execute_spec(spec)
         loop = asyncio.get_running_loop()
         future = loop.create_future()
 
@@ -414,7 +416,7 @@ def run_worker(
     worker_id: str | None = None,
     max_points: int | None = None,
     connect_timeout: float = 10.0,
-    heartbeat_every: float | None = DEFAULT_HEARTBEAT,
+    heartbeat_every: float = DEFAULT_HEARTBEAT,
     store_dir: str | pathlib.Path | None = None,
     reconnect_timeout: float = 0.0,
 ) -> dict[str, Any]:

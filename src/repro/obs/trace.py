@@ -26,7 +26,8 @@ and opens its own file instead of sharing the parent's descriptor.
 When telemetry is off, :func:`span` still runs its block and still
 propagates any caller-supplied trace id; it only skips the id minting
 and the write -- which is what keeps the overhead of instrumented
-code within the BENCH_9 gate without a single call-site conditional.
+code within the telemetry gate of ``tests/perf/bench_fabric.py``
+without a single call-site conditional.
 """
 
 from __future__ import annotations

@@ -181,6 +181,14 @@ def _require_strong_bernoulli(spec: ScenarioSpec, engine: str) -> None:
             f"engine {engine!r} is event-indexed under Bernoulli churn; "
             f"got churn={spec.churn!r} (use 'batch', 'scalar' or 'agent')"
         )
+    p_join = dict(spec.churn_options).get("p_join", spec.params.p_join)
+    if p_join != spec.params.p_join:
+        raise SpecError(
+            f"engine {engine!r} plays Bernoulli churn at the model's "
+            f"p_join={spec.params.p_join}; got churn_options "
+            f"p_join={p_join!r} (set params.p_join instead, or use "
+            "'batch', 'scalar' or 'agent')"
+        )
 
 
 def _count_policy(spec: ScenarioSpec, engine: str) -> CountAdversaryPolicy:

@@ -3,18 +3,12 @@
 import pytest
 
 from repro.analysis import ablations
-from repro.analysis.experiments import ModelCache
-
-
-@pytest.fixture(scope="module")
-def cache():
-    return ModelCache()
 
 
 class TestKSweep:
     @pytest.fixture(scope="class")
-    def points(self, cache):
-        return ablations.compute_k_sweep(mu=0.20, d=0.90, cache=cache)
+    def points(self):
+        return ablations.compute_k_sweep(mu=0.20, d=0.90)
 
     def test_full_range(self, points):
         assert [p.k for p in points] == [1, 2, 3, 4, 5, 6, 7]
@@ -29,6 +23,9 @@ class TestKSweep:
             for p in points
         )
 
+    def test_k1_keeps_at_least_the_safe_time_of_k_c(self, points):
+        assert points[0].expected_safe >= points[-1].expected_safe - 1e-9
+
     def test_render(self, points):
         text = ablations.render_k_sweep(points, mu=0.20, d=0.90)
         assert "E(T_P)" in text
@@ -37,10 +34,8 @@ class TestKSweep:
 
 class TestNuSweep:
     @pytest.fixture(scope="class")
-    def points(self, cache):
-        return ablations.compute_nu_sweep(
-            k=7, mu=0.20, d=0.90, nu_grid=(0.05, 0.20, 0.40), cache=cache
-        )
+    def points(self):
+        return ablations.compute_nu_sweep(k=7, mu=0.20, d=0.90)
 
     def test_values_finite_and_positive(self, points):
         assert all(p.expected_polluted > 0 for p in points)
@@ -53,9 +48,8 @@ class TestNuSweep:
 class TestAdversaryComparison:
     @pytest.fixture(scope="class")
     def results(self):
-        # Reduced horizon: the ordering shows up quickly.
         return ablations.compare_adversaries(
-            mu=0.2, d=0.9, n_peers=120, duration=120.0, events_per_unit=2
+            mu=0.20, d=0.90, n_peers=180, duration=200.0, events_per_unit=2
         )
 
     def test_three_strategies(self, results):

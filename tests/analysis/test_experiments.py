@@ -1,16 +1,11 @@
-"""Unit tests for the experiment grids and sweep runner."""
-
-import pytest
+"""Unit tests for the experiment grids."""
 
 from repro.analysis.experiments import (
     D_GRID,
     MU_GRID,
-    ModelCache,
     base_parameters,
     mu_percent,
-    sweep,
 )
-from repro.core.parameters import ModelParameters
 
 
 class TestGrids:
@@ -28,41 +23,3 @@ class TestGrids:
         params = base_parameters(mu=0.2, k=7)
         assert params.mu == 0.2
         assert params.k == 7
-
-
-class TestModelCache:
-    def test_reuses_models(self):
-        cache = ModelCache()
-        first = cache.get(base_parameters(mu=0.1))
-        second = cache.get(base_parameters(mu=0.1))
-        assert first is second
-
-    def test_distinguishes_parameters(self):
-        cache = ModelCache()
-        assert cache.get(base_parameters(mu=0.1)) is not cache.get(
-            base_parameters(mu=0.2)
-        )
-
-
-class TestSweep:
-    def test_sweep_evaluates_each_point(self):
-        points = [
-            (base_parameters(mu=mu), "delta") for mu in (0.0, 0.1)
-        ]
-        results = sweep(
-            iter(points),
-            lambda model, initial: {"E(T_S)": model.expected_time_safe(initial)},
-        )
-        assert len(results) == 2
-        assert results[0].metrics["E(T_S)"] == pytest.approx(12.0)
-        assert results[1].params.mu == 0.1
-
-    def test_sweep_shares_cache(self):
-        cache = ModelCache()
-        points = [(base_parameters(mu=0.1), "delta")] * 3
-        sweep(
-            iter(points),
-            lambda model, initial: {"x": 0.0},
-            cache=cache,
-        )
-        assert len(cache._models) == 1

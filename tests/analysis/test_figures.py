@@ -4,23 +4,16 @@ import numpy as np
 import pytest
 
 from repro.analysis import figure3, figure4, figure5
-from repro.analysis.experiments import ModelCache
-
-
-@pytest.fixture(scope="module")
-def cache():
-    return ModelCache()
 
 
 class TestFigure3:
     @pytest.fixture(scope="class")
-    def cells(self, cache):
+    def cells(self):
         return figure3.compute_figure3(
             k_values=(1, 7),
             initials=("delta", "beta"),
             mu_grid=(0.0, 0.15, 0.30),
             d_grid=(0.0, 0.90),
-            cache=cache,
         )
 
     def test_cell_count(self, cells):
@@ -43,12 +36,11 @@ class TestFigure3:
 
 class TestFigure4:
     @pytest.fixture(scope="class")
-    def cells(self, cache):
+    def cells(self):
         return figure4.compute_figure4(
             initials=("delta", "beta"),
             mu_grid=(0.0, 0.15, 0.30),
             d_grid=(0.0, 0.90),
-            cache=cache,
         )
 
     def test_shape_checks_pass(self, cells):
@@ -67,14 +59,13 @@ class TestFigure4:
 
 class TestFigure5:
     @pytest.fixture(scope="class")
-    def curves(self, cache):
+    def curves(self):
         return figure5.compute_figure5(
             mu=0.25,
             n_grid=(50,),
             d_grid=(0.30, 0.90),
             n_events=5000,
             record_every=250,
-            cache=cache,
         )
 
     def test_curve_shapes(self, curves):
@@ -97,14 +88,13 @@ class TestFigure5:
         assert "peak" in text
         assert "n=50" in text
 
-    def test_shape_checks_on_full_horizon(self, cache):
+    def test_shape_checks_on_full_horizon(self):
         curves = figure5.compute_figure5(
             mu=0.25,
             n_grid=(50,),
             d_grid=(0.30, 0.90),
             n_events=20_000,
             record_every=1000,
-            cache=cache,
         )
         checks = figure5.shape_checks(curves)
         assert all(checks.values()), checks

@@ -3,18 +3,12 @@
 import pytest
 
 from repro.analysis import table1, table2
-from repro.analysis.experiments import ModelCache
-
-
-@pytest.fixture(scope="module")
-def cache():
-    return ModelCache()
 
 
 class TestTable1:
     @pytest.fixture(scope="class")
-    def cells(self, cache):
-        return table1.compute_table1(cache=cache)
+    def cells(self):
+        return table1.compute_table1()
 
     def test_grid_dimensions(self, cells):
         assert len(cells) == 4 * 3
@@ -40,11 +34,16 @@ class TestTable1:
             values = [c.expected_polluted for c in row]
             assert values[0] < values[1] < values[2]
 
+    def test_blowup_spans_four_orders_of_magnitude(self, cells):
+        by_cell = {(c.mu, c.d): c.expected_polluted for c in cells}
+        for mu in (0.10, 0.20, 0.30):
+            assert by_cell[(mu, 0.999)] > 1e4 * by_cell[(mu, 0.95)]
+
 
 class TestTable2:
     @pytest.fixture(scope="class")
-    def rows(self, cache):
-        return table2.compute_table2(cache=cache)
+    def rows(self):
+        return table2.compute_table2()
 
     def test_row_count(self, rows):
         assert len(rows) == 4

@@ -323,6 +323,12 @@ class TestBoundedMemo:
             (transition_rows(params), cluster_model(params))
             for params in points[:MEMO_SIZE]
         ]
+        # One model per parameter set, and the same one on every call.
+        assert len({id(model) for _, model in derived}) == MEMO_SIZE
+        assert all(
+            cluster_model(params) is model
+            for params, (_, model) in zip(points, derived)
+        )
         transition_rows(points[0])  # now the most recent; points[1] the least
         for params in points[MEMO_SIZE:]:
             transition_rows(params)

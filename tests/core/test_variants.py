@@ -120,8 +120,15 @@ class TestAblationHelpers:
             spare_first_dominates,
         )
 
-        points = compute_join_policy_ablation(mu_grid=(0.1, 0.3))
-        assert len(points) == 4
+        points = compute_join_policy_ablation()
+        assert len(points) == 6
         assert spare_first_dominates(points)
+        naive = [p for p in points if p.policy == "direct-core"]
+        paper = [p for p in points if p.policy == "spare-first"]
+        assert [p.mu for p in paper] == [p.mu for p in naive]
+        assert [p.mu for p in paper] == [0.1, 0.2, 0.3]
+        # Not marginal: > 1.5x the polluted time at every mu.
+        for n, p in zip(naive, paper):
+            assert n.expected_polluted > 1.5 * p.expected_polluted
         text = render_join_policy_ablation(points)
         assert "direct-core" in text

@@ -3,6 +3,8 @@
 import json
 import threading
 
+import pytest
+
 from repro.cli import build_parser, main
 from repro.core.parameters import ModelParameters
 from repro.scenario.runner import SweepRunner
@@ -137,6 +139,27 @@ class TestNewFlags:
             ["worker", "--port", "1", "--store-dir", "/shared/cache"]
         )
         assert str(args.store_dir) == "/shared/cache"
+
+    @pytest.mark.parametrize("interval", ["0", "-1"])
+    def test_worker_refuses_a_heartbeat_interval_that_is_not_positive(
+        self, interval, capsys
+    ):
+        code = main(
+            [
+                "worker",
+                "--port",
+                "1",
+                "--connect-timeout",
+                "0.2",
+                "--heartbeat-every",
+                interval,
+            ]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        [line] = captured.out.splitlines()
+        assert line.startswith("worker error: heartbeat_every must be > 0")
+        assert captured.err == ""
 
     def test_coordinator_without_spec_or_watch_is_an_error(
         self, capsys, tmp_path, monkeypatch

@@ -537,6 +537,23 @@ class TestProtocolHygiene:
         assert summary["done"] == 4
         assert sum(s["executed"] for s in stats) == 4
 
+    @pytest.mark.parametrize("interval", [0, -1.0])
+    def test_a_heartbeat_interval_that_is_not_positive_is_refused(
+        self, interval
+    ):
+        """Every point runs off the event loop and heartbeats, so there
+        is no interval that turns heartbeats off; the worker refuses
+        one before it connects."""
+        with pytest.raises(ValueError, match="heartbeat_every"):
+            asyncio.run(
+                worker_loop(
+                    "127.0.0.1",
+                    1,
+                    connect_timeout=0.2,
+                    heartbeat_every=interval,
+                )
+            )
+
     def test_wire_spec_preserves_content_address(self):
         for spec in grid_18():
             rebuilt = ScenarioSpec.from_json(spec.to_json())

@@ -27,6 +27,7 @@ def rng():
         (0.2, 0.8, 7),
         (0.3, 0.5, 1),
         (0.1, 0.9, 3),
+        (0.25, 0.8, 1),
     ],
 )
 class TestDeltaStart:

@@ -54,6 +54,20 @@ class TestTheorem2:
         )
         assert gap < 0.02
 
+    @pytest.mark.parametrize("engine", ["scalar", "batch"])
+    def test_one_seeded_replication_per_engine(self, engine):
+        """A single run of 100 clusters stays within 0.12 of the closed
+        form on either engine."""
+        n_clusters, n_events, record = 100, 5000, 500
+        series = CompetingClustersSimulation(
+            PARAMS, n_clusters, np.random.default_rng(99), engine=engine
+        ).run(n_events, record_every=record)
+        analytic = OverlayModel(PARAMS, n_clusters).proportion_series(
+            "delta", n_events, record_every=record
+        )
+        gap = np.max(np.abs(series.safe_fraction - analytic.safe_fraction))
+        assert gap < 0.12
+
     def test_both_decay_to_zero(self, analytic_series, empirical_series):
         empirical_safe, empirical_polluted = empirical_series
         assert analytic_series.safe_fraction[-1] < 0.6

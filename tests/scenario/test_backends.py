@@ -56,6 +56,14 @@ class TestAnalyticBackend:
         with pytest.raises(SpecError, match="churn"):
             execute_spec(spec(engine="analytic", churn="poisson"))
 
+    @pytest.mark.parametrize("engine", ["analytic", "overlay-analytic"])
+    def test_rejects_a_p_join_the_closed_forms_do_not_play(self, engine):
+        with pytest.raises(SpecError, match="params.p_join"):
+            execute_spec(spec(engine=engine, churn_options={"p_join": 0.45}))
+        # The model's own p_join is the law the closed forms solve.
+        same = execute_spec(spec(engine=engine, churn_options={"p_join": 0.5}))
+        assert same.metrics == execute_spec(spec(engine=engine)).metrics
+
 
 class TestBatchBackend:
     def test_matches_direct_summary(self):

@@ -4,7 +4,8 @@ The Figure 3/4/5 and Table I/II grids now execute through the scenario
 subsystem's :class:`~repro.scenario.runner.SweepRunner`; these golden
 files were rendered by the direct per-module implementations
 immediately before the refactor, so equality here proves the runner
-path reproduces the historical outputs byte for byte.
+path reproduces the historical outputs byte for byte.  The figure
+tests also hold each figure's shape checks on its full grid.
 """
 
 import pathlib
@@ -32,22 +33,28 @@ class TestClosedFormGrids:
     def test_figure3_byte_identical(self):
         from repro.analysis import figure3
 
-        rendered = figure3.render_figure3(figure3.compute_figure3())
-        assert rendered + "\n" == golden("figure3.txt")
+        cells = figure3.compute_figure3()
+        assert figure3.render_figure3(cells) + "\n" == golden("figure3.txt")
+        checks = figure3.shape_checks(cells)
+        assert all(checks.values()), checks
 
     def test_figure4_byte_identical(self):
         from repro.analysis import figure4
 
-        rendered = figure4.render_figure4(figure4.compute_figure4())
-        assert rendered + "\n" == golden("figure4.txt")
+        cells = figure4.compute_figure4()
+        assert figure4.render_figure4(cells) + "\n" == golden("figure4.txt")
+        checks = figure4.shape_checks(cells)
+        assert all(checks.values()), checks
 
 
 class TestOverlayGrid:
     def test_figure5_byte_identical(self):
         from repro.analysis import figure5
 
-        rendered = figure5.render_figure5(figure5.compute_figure5())
-        assert rendered + "\n" == golden("figure5.txt")
+        curves = figure5.compute_figure5()
+        assert figure5.render_figure5(curves) + "\n" == golden("figure5.txt")
+        checks = figure5.shape_checks(curves)
+        assert all(checks.values()), checks
 
 
 class TestMonteCarloGrid:

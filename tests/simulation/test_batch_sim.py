@@ -215,6 +215,22 @@ class TestBatchTrajectoryEquivalence:
             fate.p_polluted_merge, abs=0.01
         )
 
+    def test_quarter_attack_matches_closed_form(self):
+        params = ModelParameters(core_size=7, spare_max=7, k=1, mu=0.25, d=0.8)
+        summary = batch_monte_carlo_summary(
+            params, np.random.default_rng(20110627), runs=20_000
+        )
+        fate = ClusterModel(params).cluster_fate("delta")
+        assert summary.mean_time_safe == pytest.approx(
+            fate.expected_time_safe, rel=0.03
+        )
+        assert summary.p_safe_merge == pytest.approx(
+            fate.p_safe_merge, abs=0.02
+        )
+        assert summary.p_polluted_merge == pytest.approx(
+            fate.p_polluted_merge, abs=0.01
+        )
+
     def test_deterministic_under_seed(self):
         first = batch_monte_carlo_summary(
             ATTACK, np.random.default_rng(42), runs=500
