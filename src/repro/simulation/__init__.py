@@ -32,7 +32,6 @@ from repro.simulation.churn import (
     EventKind,
     IIDKinds,
     ScheduledKinds,
-    SessionPlan,
     bernoulli_event_stream,
     exponential_sessions,
     pareto_sessions,
@@ -77,7 +76,6 @@ __all__ = [
     "SimulationError",
     "ChurnEvent",
     "EventKind",
-    "SessionPlan",
     "bernoulli_event_stream",
     "poisson_event_stream",
     "exponential_sessions",

@@ -19,12 +19,16 @@ Each process is one *law* object that serves every engine tier:
   correlated (session streams pair every join with a later leave; the
   sequence is materialized once as a boolean schedule that lockstep
   trajectories read from independent random offsets).
+
+Session laws draw their sessions as two arrays, arrival and departure
+times, bit-identical to one ``rng.exponential``/``rng.pareto`` call per
+draw (see :func:`_session_draws`).
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -105,21 +109,18 @@ class ScheduledKinds:
     times: np.ndarray
 
     @classmethod
-    def of_sessions(cls, plans: list[SessionPlan]) -> ScheduledKinds:
-        """Each plan's join at its arrival and leave at its departure.
+    def of_sessions(
+        cls, arrivals: np.ndarray, departures: np.ndarray
+    ) -> ScheduledKinds:
+        """Session ``i``'s join at ``arrivals[i]`` and its leave at
+        ``departures[i]``.
 
-        Ties resolve joins first, so a session is always born before it
-        dies.
+        Ties resolve joins first (a stable sort keeps every join ahead
+        of the leaves), so a session is always born before it dies.
         """
-        count = len(plans)
-        arrivals = (plan.arrival for plan in plans)
-        departures = (plan.departure for plan in plans)
-        times = np.fromiter(
-            itertools.chain(arrivals, departures), float, 2 * count
-        )
-        is_leave = np.repeat([False, True], count)
-        order = np.lexsort((is_leave, times))
-        return cls(schedule=order < count, times=times[order])
+        times = np.concatenate((arrivals, departures))
+        order = np.argsort(times, kind="stable")
+        return cls(schedule=order < len(arrivals), times=times[order])
 
     def events(
         self, rng: np.random.Generator | None = None
@@ -151,17 +152,38 @@ def poisson_event_stream(
     return IIDKinds.poisson(join_rate, leave_rate).events(rng)
 
 
-@dataclass(frozen=True)
-class SessionPlan:
-    """Arrival and departure instants for one synthetic peer."""
+#: Sessions per block while :func:`_session_draws` looks for the horizon.
+SESSION_BLOCK = 1 << 16
 
-    arrival: float
-    departure: float
 
-    @property
-    def duration(self) -> float:
-        """Session length."""
-        return self.departure - self.arrival
+def _session_draws(
+    rng: np.random.Generator, arrival_rate: float, horizon: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Arrival times before ``horizon`` and a standard exponential
+    duration draw for each.
+
+    A per-session loop draws a gap and a duration per session, then the
+    gap that crosses the horizon: ``2 * count + 1`` standard exponentials.
+    This finds ``count`` on blocks of such draws, rewinds the generator
+    and redraws exactly those values, so the sessions and the next draw
+    are the loop's, bit for bit.  Gaps are scaled as ``rng.exponential``
+    scales them and summed sequentially (``np.cumsum``).
+    """
+    step = 1.0 / arrival_rate
+    state = rng.bit_generator.state
+    count, time = 0, 0.0
+    while True:
+        gaps = rng.standard_exponential(2 * SESSION_BLOCK)[::2] * step
+        gaps[0] += time  # carry the running sum over from the last block
+        times = np.cumsum(gaps)
+        crossing = int(np.searchsorted(times, horizon))
+        count += crossing
+        if crossing < SESSION_BLOCK:
+            break
+        time = times[-1]
+    rng.bit_generator.state = state
+    draws = rng.standard_exponential(2 * count + 1)
+    return np.cumsum(draws[:-1:2] * step), draws[1::2]
 
 
 def exponential_sessions(
@@ -169,27 +191,22 @@ def exponential_sessions(
     arrival_rate: float,
     mean_session: float,
     horizon: float,
-) -> list[SessionPlan]:
-    """Poisson arrivals with exponential session durations."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Poisson arrivals with exponential session durations: session
+    ``i`` lives from ``arrivals[i]`` (below ``horizon``) to
+    ``departures[i]``."""
     if arrival_rate <= 0 or mean_session <= 0 or horizon <= 0:
         raise ValueError("arrival_rate, mean_session, horizon must be > 0")
-    plans = []
-    time = 0.0
-    while True:
-        time += float(rng.exponential(1.0 / arrival_rate))
-        if time >= horizon:
-            break
-        duration = float(rng.exponential(mean_session))
-        plans.append(SessionPlan(arrival=time, departure=time + duration))
-    return plans
+    arrivals, draws = _session_draws(rng, arrival_rate, horizon)
+    return arrivals, arrivals + draws * mean_session
 
 
 def session_event_stream(
-    plans: list[SessionPlan],
+    arrivals: np.ndarray, departures: np.ndarray
 ) -> Iterator[ChurnEvent]:
-    """Flatten session plans into a time-ordered join/leave stream
-    (finite, two events per plan; see :meth:`ScheduledKinds.of_sessions`)."""
-    return ScheduledKinds.of_sessions(plans).events()
+    """Flatten sessions into a time-ordered join/leave stream (finite,
+    two events per session; see :meth:`ScheduledKinds.of_sessions`)."""
+    return ScheduledKinds.of_sessions(arrivals, departures).events()
 
 
 def pareto_sessions(
@@ -198,12 +215,14 @@ def pareto_sessions(
     shape: float,
     scale: float,
     horizon: float,
-) -> list[SessionPlan]:
-    """Poisson arrivals with heavy-tailed (Pareto) session durations.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Poisson arrivals with heavy-tailed (Pareto) session durations,
+    as ``(arrivals, departures)`` arrays.
 
     Measured P2P traces (e.g. Gnutella/Kad studies) exhibit heavy-tailed
-    sessions; this generator is the stand-in for such traces in the
-    offline environment (see DESIGN.md, "Substitutions").
+    sessions; this generator is the stand-in for such traces, which are
+    not shipped.  Durations take libm's ``expm1`` per draw, as
+    ``rng.pareto`` does (``np.expm1`` differs from it in the last bits).
     """
     if shape <= 1.0:
         raise ValueError(
@@ -211,15 +230,9 @@ def pareto_sessions(
         )
     if arrival_rate <= 0 or scale <= 0 or horizon <= 0:
         raise ValueError("arrival_rate, scale, horizon must be > 0")
-    plans = []
-    time = 0.0
-    while True:
-        time += float(rng.exponential(1.0 / arrival_rate))
-        if time >= horizon:
-            break
-        duration = float(scale * (1.0 + rng.pareto(shape)))
-        plans.append(SessionPlan(arrival=time, departure=time + duration))
-    return plans
+    arrivals, draws = _session_draws(rng, arrival_rate, horizon)
+    lomax = np.array([math.expm1(x) for x in (draws / shape).tolist()])
+    return arrivals, arrivals + scale * (1.0 + lomax)
 
 
 # -- scenario registry entries ----------------------------------------------
@@ -263,7 +276,7 @@ def _exponential_session_law(
     horizon: float = 10_000.0,
 ) -> ScheduledKinds:
     return ScheduledKinds.of_sessions(
-        exponential_sessions(rng, arrival_rate, mean_session, horizon)
+        *exponential_sessions(rng, arrival_rate, mean_session, horizon)
     )
 
 
@@ -276,7 +289,7 @@ def _pareto_session_law(
     horizon: float = 10_000.0,
 ) -> ScheduledKinds:
     return ScheduledKinds.of_sessions(
-        pareto_sessions(rng, arrival_rate, shape, scale, horizon)
+        *pareto_sessions(rng, arrival_rate, shape, scale, horizon)
     )
 
 

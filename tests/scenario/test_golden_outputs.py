@@ -70,7 +70,8 @@ class TestMonteCarloGrid:
 
 #: The engine-identity grid: every churn variant and adversary on every
 #: tier that samples or solves the transition rows (legacy, variant,
-#: kind-conditional and skip tables), at one small parameter point.
+#: kind-conditional and skip tables), and on the scalar tier, which
+#: plays each law's timed stream, at one small parameter point.
 IDENTITY_CHURN = (
     ("bernoulli", {}),
     ("bernoulli", {"p_join": 0.45}),
@@ -84,6 +85,7 @@ IDENTITY_ENGINES = (
     ("overlay-analytic", {"n": 60, "events": 600, "record_every": 150}),
     ("batch", {"runs": 300}),
     ("batch", {"runs": 300, "options": {"mode": "skip"}}),
+    ("scalar", {"runs": 80}),
     ("competing-batch", {"n": 60, "events": 600, "record_every": 150}),
     (
         "competing-batch",
