@@ -38,7 +38,7 @@ FIGURE5_D_GRID = (0.30, 0.90)
 FIGURE5_EVENTS = 100_000
 #: The paper omits mu for Figure 5.  mu = 25 % reproduces the published
 #: "less than 2.2 %" polluted-proportion ceiling exactly (peak 2.17 %);
-#: mu = 30 % would peak at 3.2 %.  See EXPERIMENTS.md.
+#: mu = 30 % would peak at 3.2 %.
 FIGURE5_MU = 0.25
 
 #: Paper base point.

@@ -2,9 +2,7 @@
 
 Runs every analytical experiment (Tables I-II, Figures 3-5, the
 ablations) and assembles a single markdown document with the
-paper-vs-measured record and all shape-check verdicts -- the
-machine-generated counterpart of the repository's hand-written
-EXPERIMENTS.md.
+paper-vs-measured record and all shape-check verdicts.
 
 Exposed through the CLI as ``python -m repro report --out results/``
 (the default experiment set omits it because it reruns everything).

@@ -4,7 +4,7 @@
 d in {0.95, 0.99, 0.999}, k = 1, alpha = delta.  The published cell at
 (mu = 10 %, d = 0.999) reads 1518 but is inconsistent with the ~7x10^5
 blow-up factor of every other column; our computation gives ~1.5x10^6
-(the paper cell most likely lost its exponent) -- see EXPERIMENTS.md.
+(the paper cell most likely lost its exponent).
 """
 
 from __future__ import annotations

@@ -7,8 +7,7 @@ headline observation: the chain barely alternates --
 
 The published cell ``E(T_P,2) = 0.26`` at mu = 20 % breaks the
 monotone pattern of its row (0.004 at 10 %, 0.075 at 30 %); our
-computation gives ~0.026, pointing to a typo (dropped zero) -- flagged
-in EXPERIMENTS.md.
+computation gives ~0.026, pointing to a typo (dropped zero).
 """
 
 from __future__ import annotations

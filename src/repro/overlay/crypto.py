@@ -11,8 +11,7 @@ date ``t0`` that Section III-D folds into identifier generation.
 and textbook (unpadded) RSA are trivially breakable in the real world.
 The experiments only require (i) that certificates bind ``t0`` and a
 public key unforgeably *within the simulation*, and (ii) that identifier
-derivation is unpredictable -- both of which this scheme provides.  See
-DESIGN.md, "Substitutions".
+derivation is unpredictable -- both of which this scheme provides.
 """
 
 from __future__ import annotations

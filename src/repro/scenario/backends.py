@@ -444,49 +444,35 @@ class BatchBackend:
         chunk_size = None if chunk is None else int(chunk)
         rng = _spec_rng(spec)
         law = _event_kind_law(spec, rng)
-        default_point = (
-            spec.adversary == "strong"
-            and isinstance(law, IIDKinds)
-            and law.p_join == spec.params.p_join
-        )
-        if default_point and mode != "skip":
-            # The historical path, byte-identical for a given seed.
-            summary = batch_monte_carlo_summary(
-                spec.params,
-                rng,
-                runs=spec.runs,
-                initial=spec.initial,
-                max_steps=spec.max_steps,
-                chunk_size=chunk_size,
-            )
-        elif isinstance(law, IIDKinds):
-            summary = batch_monte_carlo_summary(
-                spec.params,
-                rng,
-                runs=spec.runs,
-                initial=spec.initial,
-                max_steps=spec.max_steps,
-                adversary=policy,
-                p_join=law.p_join,
-                mode=mode or "skip",
-                chunk_size=chunk_size,
-            )
-        else:
+        if not isinstance(law, IIDKinds):
             if mode == "skip":
                 raise SpecError(
                     "skip mode cannot follow a scheduled (session) kind "
                     "sequence; drop the mode option or use i.i.d. churn"
                 )
-            summary = batch_monte_carlo_summary(
-                spec.params,
-                rng,
-                runs=spec.runs,
-                initial=spec.initial,
-                max_steps=spec.max_steps,
-                adversary=policy,
-                kind_schedule=law.schedule,
-                chunk_size=chunk_size,
-            )
+            variant = {"adversary": policy, "kind_schedule": law.schedule}
+        elif (
+            spec.adversary == "strong"
+            and law.p_join == spec.params.p_join
+            and mode != "skip"
+        ):
+            # The historical path, byte-identical for a given seed.
+            variant = {}
+        else:
+            variant = {
+                "adversary": policy,
+                "p_join": law.p_join,
+                "mode": mode or "skip",
+            }
+        summary = batch_monte_carlo_summary(
+            spec.params,
+            rng,
+            runs=spec.runs,
+            initial=spec.initial,
+            max_steps=spec.max_steps,
+            chunk_size=chunk_size,
+            **variant,
+        )
         return _result(spec, self.name, _summary_metrics(summary))
 
 

@@ -33,14 +33,22 @@ Three extensions make the batch tier the universal fast path:
   suite checks against both the per-event engine and the scalar oracle;
 * **chunked streaming** -- :func:`batch_monte_carlo_summary` reduces
   ``10^6+`` trajectory batches chunk by chunk through a
-  :class:`TrajectorySummaryAccumulator` with memory-lean dtypes
-  (uint16/uint32 state indices), so the peak footprint is a fixed
-  envelope of the chunk size, not the run count.
+  :class:`TrajectorySummaryAccumulator` with int32 counters, so the
+  peak footprint is a fixed envelope of the chunk size, not the run
+  count.
 
-Non-i.i.d. churn (the session generators) is played in *scheduled*
-mode: the event-kind sequence is materialized once and trajectories
-advance in lockstep against kind-conditional row tables, each
-trajectory reading the shared schedule from its own random offset.
+Non-i.i.d. churn (the session generators) is played against a
+*schedule*: the event-kind sequence is materialized once and
+trajectories advance in lockstep against kind-conditional row tables,
+each lane of trajectories reading the shared schedule from its own
+random offset.
+
+Every trajectory run goes through one lockstep *lane* loop
+(:func:`run_batch_trajectories`): per-event, skip and schedule runs
+differ only in their advance step, the (dwell, landing state) pair of
+one iteration, while phase accounting, sojourns, the step budget and
+absorption are written once.  Every summary reduces through one
+:class:`TrajectorySummaryAccumulator`.
 
 The engine powers :func:`batch_monte_carlo_summary` (Relations (5)-(9)
 validation at scale) and :class:`BatchCompetingClustersSimulation`
@@ -50,11 +58,12 @@ for a seeded :class:`numpy.random.Generator`, and the occupancy /
 absorption statistics agree with the scalar oracle in distribution
 (checked by ``tests/simulation/test_batch_sim.py``).  Population sizes
 of ``n = 100k+`` clusters are practical at this tier.  The default
-arguments reproduce the PR 1 behaviour draw for draw.
+arguments reproduce the historical per-event engine draw for draw.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -240,13 +249,6 @@ class BatchClusterEngine:
         """The variant policy (``None`` = legacy strong rows)."""
         return self._policy
 
-    @property
-    def index_dtype(self) -> np.dtype:
-        """Smallest unsigned dtype holding every state index."""
-        return np.dtype(
-            np.uint16 if self._rows.n_states <= 0xFFFF else np.uint32
-        )
-
     def is_transient(self, indices: np.ndarray) -> np.ndarray:
         """Boolean mask: which of ``indices`` are transient states."""
         return self._transient[indices]
@@ -378,356 +380,159 @@ class BatchTrajectories:
     #: reduction actually keeps resident per chunk.
     arrays_nbytes: int = 0
 
-    def absorption_frequency(self, label: str) -> float:
-        """Empirical probability of one absorption class."""
-        try:
-            codes = LABEL_CODES[label]
-        except KeyError:
-            raise ValueError(
-                f"unknown absorption label {label!r}"
-            ) from None
-        return float(np.isin(self.absorbed_code, codes).mean())
 
-
-def _close_first_sojourns(
-    who: np.ndarray,
-    phase: np.ndarray,
-    run_length: np.ndarray,
-    trackers: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-) -> None:
-    """Record finished sojourns of clusters ``who`` into the first-sojourn
-    slots (phase read *before* the caller flips it), then reset runs."""
-    first_safe, seen_safe, first_polluted, seen_polluted = trackers
-    was_polluted = phase[who]
-    closing_safe = who[~was_polluted]
-    closing_safe = closing_safe[~seen_safe[closing_safe]]
-    first_safe[closing_safe] = run_length[closing_safe]
-    seen_safe[closing_safe] = True
-    closing_polluted = who[was_polluted]
-    closing_polluted = closing_polluted[~seen_polluted[closing_polluted]]
-    first_polluted[closing_polluted] = run_length[closing_polluted]
-    seen_polluted[closing_polluted] = True
-    run_length[who] = 0
-
-
-class _TrajectoryArrays:
-    """Shared allocation and bookkeeping of one lockstep trajectory run."""
-
-    def __init__(
-        self,
-        engine: BatchClusterEngine,
-        runs: int,
-        initial: str | State,
-        counter_dtype: np.dtype,
-        index_dtype: np.dtype | None = None,
-    ) -> None:
-        indices = engine.sample_initial_indices(runs, initial)
-        if index_dtype is not None:
-            indices = indices.astype(index_dtype, copy=False)
-        self.indices = indices
-        self.time_safe = np.zeros(runs, dtype=counter_dtype)
-        self.time_polluted = np.zeros(runs, dtype=counter_dtype)
-        self.steps = np.zeros(runs, dtype=counter_dtype)
-        self.absorbed_code = np.full(runs, -1, dtype=np.int8)
-        initially_transient = engine.is_transient(indices)
-        if not initially_transient.all():
-            born_absorbed = np.flatnonzero(~initially_transient)
-            self.absorbed_code[born_absorbed] = engine.category_codes(
-                indices[born_absorbed]
-            )
-        self.first_safe = np.zeros(runs, dtype=counter_dtype)
-        self.first_polluted = np.zeros(runs, dtype=counter_dtype)
-        self.seen_safe = np.zeros(runs, dtype=bool)
-        self.seen_polluted = np.zeros(runs, dtype=bool)
-        self.trackers = (
-            self.first_safe,
-            self.seen_safe,
-            self.first_polluted,
-            self.seen_polluted,
-        )
-        self.phase = engine.is_polluted(indices)
-        self.run_length = np.zeros(runs, dtype=counter_dtype)
-        self.active = np.flatnonzero(initially_transient).astype(np.intp)
-
-    def result(self, runs: int) -> BatchTrajectories:
-        return BatchTrajectories(
-            runs=runs,
-            steps=self.steps,
-            time_safe=self.time_safe,
-            time_polluted=self.time_polluted,
-            absorbed_code=self.absorbed_code,
-            first_safe_sojourn=self.first_safe,
-            first_polluted_sojourn=self.first_polluted,
-            arrays_nbytes=self.nbytes(),
-        )
-
-    def nbytes(self) -> int:
-        """Total footprint of the per-trajectory arrays (memory envelope)."""
-        return sum(
-            array.nbytes
-            for array in (
-                self.indices,
-                self.time_safe,
-                self.time_polluted,
-                self.steps,
-                self.absorbed_code,
-                self.first_safe,
-                self.first_polluted,
-                self.seen_safe,
-                self.seen_polluted,
-                self.phase,
-                self.run_length,
-            )
-        )
-
-
-def _run_event_mode(
-    engine: BatchClusterEngine,
-    state: _TrajectoryArrays,
-    max_steps: int,
-) -> None:
-    """Per-event lockstep advance (the PR 1 loop, draw for draw)."""
-    indices = state.indices
-    time_safe = state.time_safe
-    time_polluted = state.time_polluted
-    phase = state.phase
-    run_length = state.run_length
-    active = state.active
-    iteration = 0
-    while active.size:
-        if iteration >= max_steps:
-            raise SimulationBudgetError(
-                f"{active.size} trajectories not absorbed within "
-                f"{max_steps} steps ({engine.params.describe()})"
-            )
-        iteration += 1
-        current = indices[active]
-        polluted_now = engine.is_polluted(current)
-        flipped = polluted_now != phase[active]
-        if flipped.any():
-            flippers = active[flipped]
-            _close_first_sojourns(
-                flippers, phase, run_length, state.trackers
-            )
-            phase[flippers] = polluted_now[flipped]
-        time_polluted[active[polluted_now]] += 1
-        time_safe[active[~polluted_now]] += 1
-        run_length[active] += 1
-        state.steps[active] += 1
-        landed = engine.step(current)
-        indices[active] = landed
-        still_transient = engine.is_transient(landed)
-        finished = active[~still_transient]
-        if finished.size:
-            _close_first_sojourns(
-                finished, phase, run_length, state.trackers
-            )
-            state.absorbed_code[finished] = engine.category_codes(
-                indices[finished]
-            )
-            active = active[still_transient]
-
-
-#: Sequential trajectories per lane in scheduled-kind mode.  Each
-#: lane's first trajectory starts at a uniformly random schedule
+#: Sequential trajectories per lane when following a kind schedule.
+#: Each lane's first trajectory starts at a uniformly random schedule
 #: position (a length-biased start w.r.t. the oracle's sequential
 #: tiling); the other ``LANE_DEPTH - 1`` start exactly where their
 #: predecessor absorbed, so the residual design bias is O(1/LANE_DEPTH).
 LANE_DEPTH = 32
 
 
-def _run_scheduled_mode(
+def _play_lanes(
     engine: BatchClusterEngine,
     runs: int,
+    n_lanes: int,
     initial: str | State,
     max_steps: int,
-    schedule: np.ndarray,
-    counter_dtype: np.dtype,
-    index_dtype: np.dtype,
+    advance: Callable[
+        [np.ndarray, np.ndarray], tuple[int | np.ndarray, np.ndarray]
+    ],
+    held: tuple[np.ndarray, ...] = (),
 ) -> BatchTrajectories:
-    """Lockstep advance against a materialized event-kind schedule.
+    """Play ``runs`` trajectories on ``n_lanes`` lockstep lanes.
 
-    Reproduces the scalar oracle's consumption design: the oracle runs
-    trajectories back to back against *one* stream, so trajectory
-    starts are renewal epochs, not uniformly random stream positions
-    (under correlated session streams the two designs measurably
-    differ -- uniform positions length-bias toward survival-friendly
-    stream regions).  Here ``ceil(runs / LANE_DEPTH)`` lanes each tile
-    a contiguous region of the (cyclic) schedule sequentially: when a
-    lane's trajectory absorbs, its next trajectory starts at the very
-    next schedule position.  Lanes advance in lockstep through the
-    kind-conditional row tables.
+    A lane is one slot of the lockstep arrays; it plays its quota of
+    trajectories back to back, and the lanes share their quotas as
+    evenly as ``runs`` allows.  ``advance(current, active)`` is the
+    only mode-specific part: for the live lanes ``active`` in states
+    ``current`` it returns the events spent in the current state (the
+    dwell, an int or an array) and the state each lane lands in.
+
+    Time is charged per sojourn, a maximal run of events in one phase
+    (safe or polluted): a lane keeps its step count and the step at
+    which its open sojourn started, and a sojourn that closes -- on a
+    phase flip or on absorption -- adds its length to its phase's
+    total, and is that phase's first sojourn when the total was 0.
+    Every closed sojourn holds at least one event, so this is exactly
+    the oracle's per-event charge to the *pre-event* state's phase.
+    A lane's ``code`` is the category code of its open phase while it
+    is live and its absorbing class afterwards, so one comparison with
+    the landed states' codes finds both flips and absorptions.
+
+    When every lane plays one trajectory the lane arrays are the
+    result, in trajectory order; otherwise each finished trajectory is
+    copied to the next free slot, in absorption order.  ``std()`` sums
+    in array order, so this order keeps the standard errors byte-stable.
+    ``held`` are the mode's own per-lane arrays, for ``arrays_nbytes``.
     """
-    n_lanes = min(runs, -(-runs // LANE_DEPTH))
-    quota = np.full(n_lanes, runs // n_lanes, dtype=np.int64)
+    # A budget past int64 cannot bind; clamping it keeps the budget
+    # check's arithmetic in range.
+    max_steps = min(max_steps, np.iinfo(np.int64).max)
+    counter = np.dtype(
+        np.int32 if max_steps <= np.iinfo(np.int32).max else np.int64
+    )
+    # Trajectories each lane has still to finish, its live one included:
+    # a lane is live exactly while its quota is positive.
+    quota = np.full(n_lanes, runs // n_lanes, dtype=np.int32)
     quota[: runs % n_lanes] += 1
-    rng = engine._rng
-    positions = rng.integers(0, schedule.size, size=n_lanes)
-    out_steps = np.zeros(runs, dtype=counter_dtype)
-    out_safe = np.zeros(runs, dtype=counter_dtype)
-    out_polluted = np.zeros(runs, dtype=counter_dtype)
-    out_code = np.full(runs, -1, dtype=np.int8)
-    out_first_safe = np.zeros(runs, dtype=counter_dtype)
-    out_first_polluted = np.zeros(runs, dtype=counter_dtype)
+    indices = np.zeros(n_lanes, dtype=np.intp)
+    code = np.full(n_lanes, -1, dtype=np.int8)
+    steps = np.zeros(n_lanes, dtype=counter)
+    opened = np.zeros(n_lanes, dtype=counter)
+    # Both phases in one array: entry ``code * n_lanes + lane`` belongs
+    # to the phase whose category code is ``code`` (CODE_SAFE is 0,
+    # CODE_POLLUTED is 1).  The stride is an intp so that the int8
+    # codes widen instead of overflowing.
+    time = np.zeros(2 * n_lanes, dtype=counter)
+    first = np.zeros(2 * n_lanes, dtype=counter)
+    stride = np.intp(n_lanes)
+    lanes = {
+        "steps": steps,
+        "time_safe": time[:n_lanes],
+        "time_polluted": time[n_lanes:],
+        "absorbed_code": code,
+        "first_safe_sojourn": first[:n_lanes],
+        "first_polluted_sojourn": first[n_lanes:],
+    }
+    footprint = [indices, code, steps, opened, time, first, quota, *held]
+    results = lanes
+    if n_lanes < runs:
+        results = {
+            name: np.zeros(runs, dtype=column.dtype)
+            for name, column in lanes.items()
+        }
+        footprint += results.values()
     fill = 0
 
-    indices = np.zeros(n_lanes, dtype=index_dtype)
-    time_safe = np.zeros(n_lanes, dtype=counter_dtype)
-    time_polluted = np.zeros(n_lanes, dtype=counter_dtype)
-    steps = np.zeros(n_lanes, dtype=counter_dtype)
-    first_safe = np.zeros(n_lanes, dtype=counter_dtype)
-    first_polluted = np.zeros(n_lanes, dtype=counter_dtype)
-    seen_safe = np.zeros(n_lanes, dtype=bool)
-    seen_polluted = np.zeros(n_lanes, dtype=bool)
-    trackers = (first_safe, seen_safe, first_polluted, seen_polluted)
-    phase = np.zeros(n_lanes, dtype=bool)
-    run_length = np.zeros(n_lanes, dtype=counter_dtype)
-    in_flight = np.zeros(n_lanes, dtype=bool)
+    def close(who: np.ndarray) -> None:
+        """Close the open sojourn of each lane in ``who``."""
+        slot = code[who] * stride + who
+        now = steps[who]
+        length = now - opened[who]
+        before = time[slot]
+        opening = before == 0
+        first[slot[opening]] = length[opening]
+        time[slot] = before + length
+        opened[who] = now
 
-    def finalize(lanes: np.ndarray) -> None:
+    def finish(who: np.ndarray) -> None:
+        """Count the absorbed trajectories of lanes ``who``; when the
+        lanes are not the result, move them out and clear the lanes."""
         nonlocal fill
-        slots = np.arange(fill, fill + lanes.size)
-        fill += lanes.size
-        out_steps[slots] = steps[lanes]
-        out_safe[slots] = time_safe[lanes]
-        out_polluted[slots] = time_polluted[lanes]
-        out_code[slots] = engine.category_codes(indices[lanes])
-        out_first_safe[slots] = first_safe[lanes]
-        out_first_polluted[slots] = first_polluted[lanes]
-        quota[lanes] -= 1
-        in_flight[lanes] = False
+        quota[who] -= 1
+        if results is lanes:
+            return
+        slots = slice(fill, fill + who.size)
+        fill += who.size
+        for name, column in lanes.items():
+            results[name][slots] = column[who]
+            column[who] = 0
+        opened[who] = 0
 
-    def spawn(lanes: np.ndarray) -> None:
-        """Start the next trajectory of each lane (with quota left),
-        retiring zero-step trajectories born in a closed state."""
-        while lanes.size:
-            fresh = engine.sample_initial_indices(
-                lanes.size, initial
-            ).astype(index_dtype, copy=False)
-            indices[lanes] = fresh
-            for counter in (
-                time_safe, time_polluted, steps,
-                first_safe, first_polluted, run_length,
-            ):
-                counter[lanes] = 0
-            seen_safe[lanes] = False
-            seen_polluted[lanes] = False
-            phase[lanes] = engine.is_polluted(fresh)
-            in_flight[lanes] = True
-            born_closed = ~engine.is_transient(fresh)
-            if not born_closed.any():
-                return
-            dead = lanes[born_closed]
-            finalize(dead)
-            lanes = dead[quota[dead] > 0]
+    def spawn(who: np.ndarray) -> None:
+        """Start the next trajectory of each lane in ``who``; one born
+        in a closed state finishes at once, with zero steps."""
+        while who.size:
+            fresh = engine.sample_initial_indices(who.size, initial)
+            indices[who] = fresh
+            code[who] = codes = engine.category_codes(fresh)
+            who = who[codes > CODE_POLLUTED]
+            if who.size:
+                finish(who)
+                who = who[quota[who] > 0]
 
-    spawn(np.flatnonzero(quota > 0))
-    while True:
-        active = np.flatnonzero(in_flight)
-        if active.size == 0:
-            break
-        # The budget is per trajectory (a lane legitimately runs many
-        # trajectories back to back, so no global iteration cap).
-        if (steps[active] >= max_steps).any():
-            stuck = int((steps[active] >= max_steps).sum())
+    spawn(np.arange(n_lanes))
+    active = np.flatnonzero(quota > 0)
+    while active.size:
+        dwell, landed = advance(indices[active], active)
+        taken = steps[active]
+        # The budget is per trajectory; comparing against the remaining
+        # budget keeps int32 counters from overflowing.
+        stuck = np.count_nonzero(dwell > max_steps - taken)
+        if stuck:
             raise SimulationBudgetError(
                 f"{stuck} trajectories not absorbed within "
                 f"{max_steps} steps ({engine.params.describe()})"
             )
-        current = indices[active]
-        polluted_now = engine.is_polluted(current)
-        flipped = polluted_now != phase[active]
-        if flipped.any():
-            flippers = active[flipped]
-            _close_first_sojourns(flippers, phase, run_length, trackers)
-            phase[flippers] = polluted_now[flipped]
-        kinds = schedule[positions[active] % schedule.size]
-        time_polluted[active[polluted_now]] += 1
-        time_safe[active[~polluted_now]] += 1
-        run_length[active] += 1
-        steps[active] += 1
-        positions[active] += 1
-        landed = engine.step_kinds(current, kinds)
+        steps[active] = taken + dwell
         indices[active] = landed
-        finished = active[~engine.is_transient(landed)]
-        if finished.size:
-            _close_first_sojourns(finished, phase, run_length, trackers)
-            finalize(finished)
-            spawn(finished[quota[finished] > 0])
-    footprint = sum(
-        array.nbytes
-        for array in (
-            out_steps, out_safe, out_polluted, out_code,
-            out_first_safe, out_first_polluted,
-            indices, time_safe, time_polluted, steps,
-            first_safe, first_polluted, seen_safe, seen_polluted,
-            phase, run_length, in_flight, quota, positions,
-        )
-    )
+        codes = engine.category_codes(landed)
+        moved = codes != code[active]
+        closing = active[moved]
+        if closing.size:
+            close(closing)
+            code[closing] = codes = codes[moved]
+            finished = closing[codes > CODE_POLLUTED]
+            if finished.size:
+                finish(finished)
+                spawn(finished[quota[finished] > 0])
+                active = active[quota[active] > 0]
     return BatchTrajectories(
         runs=runs,
-        steps=out_steps,
-        time_safe=out_safe,
-        time_polluted=out_polluted,
-        absorbed_code=out_code,
-        first_safe_sojourn=out_first_safe,
-        first_polluted_sojourn=out_first_polluted,
-        arrays_nbytes=footprint,
+        **results,
+        arrays_nbytes=sum(array.nbytes for array in footprint),
     )
-
-
-def _run_skip_mode(
-    engine: BatchClusterEngine,
-    state: _TrajectoryArrays,
-    max_steps: int,
-) -> None:
-    """Event-axis advance: one (dwell, target) draw per state change.
-
-    Exactly equivalent to the per-event loop -- the dwell in a state is
-    geometric and the exit law is the self-loop-censored row -- but the
-    iteration count per trajectory is its number of state *changes*,
-    not its number of events.
-    """
-    indices = state.indices
-    time_safe = state.time_safe
-    time_polluted = state.time_polluted
-    phase = state.phase
-    run_length = state.run_length
-    active = state.active
-    while active.size:
-        current = indices[active]
-        polluted_now = engine.is_polluted(current)
-        flipped = polluted_now != phase[active]
-        if flipped.any():
-            flippers = active[flipped]
-            _close_first_sojourns(
-                flippers, phase, run_length, state.trackers
-            )
-            phase[flippers] = polluted_now[flipped]
-        dwell = engine.skip_dwell(current, cap=max_steps)
-        remaining = max_steps - state.steps[active]
-        if (dwell > remaining).any():
-            stuck = int((dwell > remaining).sum())
-            raise SimulationBudgetError(
-                f"{stuck} trajectories not absorbed within "
-                f"{max_steps} steps ({engine.params.describe()})"
-            )
-        time_polluted[active[polluted_now]] += dwell[polluted_now]
-        time_safe[active[~polluted_now]] += dwell[~polluted_now]
-        run_length[active] += dwell
-        state.steps[active] += dwell
-        landed = engine.skip_target(current)
-        indices[active] = landed
-        still_transient = engine.is_transient(landed)
-        finished = active[~still_transient]
-        if finished.size:
-            _close_first_sojourns(
-                finished, phase, run_length, state.trackers
-            )
-            state.absorbed_code[finished] = engine.category_codes(
-                indices[finished]
-            )
-            active = active[still_transient]
 
 
 def run_batch_trajectories(
@@ -747,15 +552,26 @@ def run_batch_trajectories(
     trajectory, exactly like the scalar
     :meth:`~repro.simulation.cluster_sim.ClusterSimulator.run`.
 
-    ``mode="event"`` (default) advances one event per iteration -- the
-    PR 1 loop, byte-identical for a given seed.  ``mode="skip"``
-    dispatches multi-event blocks per state via geometric skip sampling
-    (equal in law, different draws).  A ``kind_schedule`` (boolean
-    array, True = join) switches to scheduled-kind stepping for
-    non-i.i.d. churn: lanes of trajectories tile the (cyclic) schedule
-    sequentially, reproducing the scalar oracle's back-to-back stream
-    consumption (see :func:`_run_scheduled_mode`); it requires an
-    engine built ``with_kind_rows=True`` and forces per-event mode.
+    Every mode plays the same lane loop (:func:`_play_lanes`) and
+    differs only in its advance step:
+
+    * ``mode="event"`` (default) steps one event per iteration, one
+      trajectory per lane -- the historical loop, byte-identical for a
+      given seed;
+    * ``mode="skip"`` draws a geometric dwell and the state it exits to
+      (equal in law, different draws), one trajectory per lane;
+    * a ``kind_schedule`` (boolean array, True = join) steps one event
+      of the (cyclic) schedule per iteration, for non-i.i.d. churn.
+      ``ceil(runs / LANE_DEPTH)`` lanes each start at a random schedule
+      position and play their trajectories back to back, each from the
+      event after its predecessor's last, as the scalar oracle consumes
+      one stream: trajectory starts are renewal epochs, not uniformly random
+      positions (under correlated session streams the two designs
+      measurably differ).  It needs an engine built
+      ``with_kind_rows=True`` and the event mode.
+
+    Lane indices are ``np.intp`` and counters int32 whenever
+    ``max_steps`` fits.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
@@ -766,62 +582,83 @@ def run_batch_trajectories(
             "skip mode cannot follow a kind schedule (the dwell law "
             "depends on the event kind); use mode='event'"
         )
-    legacy = mode == MODE_EVENT and kind_schedule is None
-    if legacy:
-        counter_dtype = np.dtype(np.int64)
-        index_dtype = None
-    else:
-        counter_dtype = np.dtype(
-            np.int32 if max_steps <= np.iinfo(np.int32).max else np.int64
-        )
-        index_dtype = engine.index_dtype
+    n_lanes, held, timer = runs, (), "dispatch"
     if kind_schedule is not None:
-        kind_schedule = np.ascontiguousarray(kind_schedule, dtype=bool)
-        if kind_schedule.size == 0:
+        schedule = np.ascontiguousarray(kind_schedule, dtype=bool)
+        if schedule.size == 0:
             raise ValueError("kind_schedule must be non-empty")
-        with _phase("dispatch"):
-            return _run_scheduled_mode(
-                engine,
-                runs,
-                initial,
-                max_steps,
-                kind_schedule,
-                counter_dtype,
-                index_dtype,
-            )
-    state = _TrajectoryArrays(
-        engine, runs, initial, counter_dtype, index_dtype
-    )
-    if mode == MODE_SKIP:
-        with _phase("skip-sampling"):
-            _run_skip_mode(engine, state, max_steps)
+        n_lanes = min(runs, -(-runs // LANE_DEPTH))
+        # Drawn before the first initial states, as the draw order has it.
+        positions = engine._rng.integers(0, schedule.size, size=n_lanes)
+        held = (positions,)
+
+        def advance(current, active):
+            at = positions[active]
+            positions[active] = at + 1
+            return 1, engine.step_kinds(current, schedule[at % schedule.size])
+
+    elif mode == MODE_SKIP:
+        timer = "skip-sampling"
+
+        def advance(current, active):
+            dwell = engine.skip_dwell(current, cap=max_steps)
+            return dwell, engine.skip_target(current)
+
     else:
-        with _phase("dispatch"):
-            _run_event_mode(engine, state, max_steps)
-    return state.result(runs)
+
+        def advance(current, active):
+            return 1, engine.step(current)
+
+    with _phase(timer):
+        return _play_lanes(
+            engine, runs, n_lanes, initial, max_steps, advance, held
+        )
 
 
 # -- streaming aggregation ---------------------------------------------------
+
+#: The integer columns a summary averages, and the two whose spread it
+#: reports as a standard error.
+_MEAN_COLUMNS = (
+    "time_safe",
+    "time_polluted",
+    "first_safe_sojourn",
+    "first_polluted_sojourn",
+)
+_SPREAD_COLUMNS = ("time_safe", "time_polluted")
+
+
+def _centred_square_sum(column: np.ndarray, total: int) -> float:
+    """``sum((x - mean)**2)`` of one chunk's column, summed in array
+    order as :meth:`numpy.ndarray.std` sums it."""
+    deviation = column.astype(np.float64)
+    deviation -= total / column.size
+    deviation *= deviation
+    return float(deviation.sum())
+
 
 @dataclass
 class TrajectorySummaryAccumulator:
     """Constant-memory reducer over :class:`BatchTrajectories` chunks.
 
-    Accumulates first and second moments plus absorption counts, so a
-    ``10^6+``-run Monte-Carlo summary is reduced chunk by chunk inside
-    a fixed memory envelope instead of materializing every trajectory.
-    The produced :class:`~repro.simulation.cluster_sim.MonteCarloSummary`
-    uses the same estimator formulas as the single-shot path (population
-    std over ``sqrt(runs - 1)``), up to float summation order.
+    Every batch Monte-Carlo summary folds through it (an unchunked run
+    is one chunk), so a ``10^6+``-run summary is reduced chunk by chunk
+    inside a fixed memory envelope instead of materializing every
+    trajectory.  The columns hold event counts, so the means come from
+    exact integer sums.  Each time column keeps its centred second
+    moment, merged across chunks with the pairwise update of Chan,
+    Golub and LeVeque, which loses nothing to cancellation; one chunk
+    reduces bit for bit as numpy's ``mean()`` and ``std()`` do.  The
+    standard error is the population std over ``sqrt(runs - 1)``.
     """
 
     runs: int = 0
-    _sum_safe: float = 0.0
-    _sum_safe_sq: float = 0.0
-    _sum_polluted: float = 0.0
-    _sum_polluted_sq: float = 0.0
-    _sum_first_safe: float = 0.0
-    _sum_first_polluted: float = 0.0
+    _sums: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(_MEAN_COLUMNS, 0)
+    )
+    _centred: dict[str, float] = field(
+        default_factory=lambda: dict.fromkeys(_SPREAD_COLUMNS, 0.0)
+    )
     _code_counts: np.ndarray = field(
         default_factory=lambda: np.zeros(8, dtype=np.int64)
     )
@@ -831,21 +668,21 @@ class TrajectorySummaryAccumulator:
         self, batch: BatchTrajectories, chunk_bytes: int | None = None
     ) -> None:
         """Fold one chunk into the running moments."""
-        safe = batch.time_safe.astype(np.float64, copy=False)
-        polluted = batch.time_polluted.astype(np.float64, copy=False)
-        self.runs += batch.runs
-        self._sum_safe += float(safe.sum())
-        self._sum_safe_sq += float(np.square(safe).sum())
-        self._sum_polluted += float(polluted.sum())
-        self._sum_polluted_sq += float(np.square(polluted).sum())
-        self._sum_first_safe += float(
-            batch.first_safe_sojourn.astype(np.float64, copy=False).sum()
-        )
-        self._sum_first_polluted += float(
-            batch.first_polluted_sojourn.astype(
-                np.float64, copy=False
-            ).sum()
-        )
+        seen, size = self.runs, batch.runs
+        merged = seen + size
+        for name in _MEAN_COLUMNS:
+            column = getattr(batch, name)
+            total = int(column.sum(dtype=np.int64))
+            if name in self._centred:
+                centred = _centred_square_sum(column, total)
+                if seen:
+                    delta = total / size - self._sums[name] / seen
+                    centred += self._centred[name] + delta * delta * (
+                        seen * size / merged
+                    )
+                self._centred[name] = centred
+            self._sums[name] += total
+        self.runs = merged
         codes = batch.absorbed_code
         self._code_counts += np.bincount(
             codes[codes >= 0], minlength=8
@@ -864,24 +701,23 @@ class TrajectorySummaryAccumulator:
         if self.runs == 0:
             raise ValueError("no trajectories accumulated")
         runs = self.runs
-        mean_safe = self._sum_safe / runs
-        mean_polluted = self._sum_polluted / runs
-        var_safe = max(self._sum_safe_sq / runs - mean_safe**2, 0.0)
-        var_polluted = max(
-            self._sum_polluted_sq / runs - mean_polluted**2, 0.0
-        )
+        mean = {name: total / runs for name, total in self._sums.items()}
         scale = np.sqrt(max(runs - 1, 1))
+        sem = {
+            name: float(np.sqrt(centred / runs) / scale)
+            for name, centred in self._centred.items()
+        }
         return MonteCarloSummary(
             runs=runs,
-            mean_time_safe=mean_safe,
-            mean_time_polluted=mean_polluted,
-            sem_time_safe=float(np.sqrt(var_safe) / scale),
-            sem_time_polluted=float(np.sqrt(var_polluted) / scale),
+            mean_time_safe=mean["time_safe"],
+            mean_time_polluted=mean["time_polluted"],
+            sem_time_safe=sem["time_safe"],
+            sem_time_polluted=sem["time_polluted"],
             p_safe_merge=self._frequency(SAFE_MERGE),
             p_safe_split=self._frequency(SAFE_SPLIT),
             p_polluted_merge=self._frequency(POLLUTED_MERGE),
-            mean_first_safe_sojourn=self._sum_first_safe / runs,
-            mean_first_polluted_sojourn=self._sum_first_polluted / runs,
+            mean_first_safe_sojourn=mean["first_safe_sojourn"],
+            mean_first_polluted_sojourn=mean["first_polluted_sojourn"],
         )
 
 
@@ -908,9 +744,13 @@ def batch_monte_carlo_summary(
     event-kind law (``p_join`` for i.i.d. kinds, ``kind_schedule`` for
     materialized session streams), the advance ``mode``, and a
     ``chunk_size`` that streams ``runs`` through a fixed-size memory
-    envelope; with all of them at their defaults the output is
-    byte-identical to PR 1 for a given seed.
+    envelope; with all of them at their defaults the output is the
+    historical per-event path's, byte for byte, for a given seed.
+    Every run, chunked or not, reduces through one
+    :class:`TrajectorySummaryAccumulator`.
     """
+    if chunk_size is not None and chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     engine = BatchClusterEngine(
         params,
         rng,
@@ -918,51 +758,22 @@ def batch_monte_carlo_summary(
         p_join=p_join,
         with_kind_rows=kind_schedule is not None,
     )
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    if chunk_size is None or runs <= chunk_size:
-        result = run_batch_trajectories(
-            engine,
-            runs,
-            initial=initial,
-            max_steps=max_steps,
-            mode=mode,
-            kind_schedule=kind_schedule,
-        )
-        times_safe = result.time_safe.astype(float)
-        times_polluted = result.time_polluted.astype(float)
-        scale = np.sqrt(max(runs - 1, 1))
-        return MonteCarloSummary(
-            runs=runs,
-            mean_time_safe=float(times_safe.mean()),
-            mean_time_polluted=float(times_polluted.mean()),
-            sem_time_safe=float(times_safe.std() / scale),
-            sem_time_polluted=float(times_polluted.std() / scale),
-            p_safe_merge=result.absorption_frequency(SAFE_MERGE),
-            p_safe_split=result.absorption_frequency(SAFE_SPLIT),
-            p_polluted_merge=result.absorption_frequency(POLLUTED_MERGE),
-            mean_first_safe_sojourn=float(
-                result.first_safe_sojourn.astype(float).mean()
-            ),
-            mean_first_polluted_sojourn=float(
-                result.first_polluted_sojourn.astype(float).mean()
-            ),
-        )
     accumulator = TrajectorySummaryAccumulator()
     remaining = runs
-    while remaining > 0:
-        batch_runs = min(chunk_size, remaining)
-        remaining -= batch_runs
+    while True:
+        size = remaining if chunk_size is None else min(chunk_size, remaining)
         chunk = run_batch_trajectories(
             engine,
-            batch_runs,
+            size,
             initial=initial,
             max_steps=max_steps,
             mode=mode,
             kind_schedule=kind_schedule,
         )
         accumulator.update(chunk, chunk_bytes=chunk.arrays_nbytes)
-    return accumulator.summary()
+        remaining -= size
+        if not remaining:
+            return accumulator.summary()
 
 
 @dataclass(frozen=True)

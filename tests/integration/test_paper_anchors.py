@@ -2,7 +2,8 @@
 
 Every assertion here cites a specific artifact of the paper (table cell,
 figure anchor, or stated invariant).  Two published cells are excluded
-as typos -- see EXPERIMENTS.md ("Known deviations").
+as typos: Table I at (mu = 10 %, d = 0.999) and Table II's
+``E(T_P,2)`` at mu = 20 %.
 """
 
 import pytest

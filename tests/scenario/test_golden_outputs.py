@@ -85,6 +85,8 @@ IDENTITY_ENGINES = (
     ("overlay-analytic", {"n": 60, "events": 600, "record_every": 150}),
     ("batch", {"runs": 300}),
     ("batch", {"runs": 300, "options": {"mode": "skip"}}),
+    ("batch", {"runs": 300, "initial": "beta"}),
+    ("batch", {"runs": 300, "initial": "beta", "options": {"mode": "skip"}}),
     ("scalar", {"runs": 80}),
     ("competing-batch", {"n": 60, "events": 600, "record_every": 150}),
     (

@@ -26,11 +26,16 @@ from repro.core.variants import build_policy_chain
 from repro.simulation.batch import (
     BatchClusterEngine,
     BatchCompetingClustersSimulation,
+    BatchTrajectories,
     TrajectorySummaryAccumulator,
     batch_monte_carlo_summary,
     run_batch_trajectories,
 )
-from repro.core.transitions import CODE_SAFE_MERGE
+from repro.core.transitions import (
+    CODE_POLLUTED_SPLIT,
+    CODE_SAFE_MERGE,
+    CODE_SAFE_SPLIT,
+)
 from repro.simulation.cluster_sim import (
     ClusterSimulator,
     SimulationBudgetError,
@@ -43,6 +48,22 @@ ATTACK = ModelParameters(core_size=7, spare_max=7, k=1, mu=0.2, d=0.8)
 
 def make_engine(params=ATTACK, seed=12345):
     return BatchClusterEngine(params, np.random.default_rng(seed))
+
+
+#: A fixed kind schedule (True = join) for the schedule advance step.
+SCHEDULE = np.random.default_rng(2011).random(4096) < 0.5
+#: The lane loop's three advance steps.
+ADVANCE_STEPS = ("event", "skip", "schedule")
+
+
+def advance_step(step, params=ATTACK, seed=12345):
+    """An engine and the ``run_batch_trajectories`` keywords that play
+    one advance step."""
+    rng = np.random.default_rng(seed)
+    if step == "schedule":
+        engine = BatchClusterEngine(params, rng, with_kind_rows=True)
+        return engine, {"kind_schedule": SCHEDULE}
+    return BatchClusterEngine(params, rng), {"mode": step}
 
 
 class TestBatchEngine:
@@ -114,10 +135,13 @@ class TestBatchEngine:
         )
         assert total_variation < 0.02
 
-    def test_absorbing_initial_yields_zero_step_trajectories(self):
+    @pytest.mark.parametrize("step", ADVANCE_STEPS)
+    def test_absorbing_initial_yields_zero_step_trajectories(self, step):
         """Parity with the scalar oracle on a closed initial state."""
-        engine = make_engine()
-        result = run_batch_trajectories(engine, 10, initial=State(0, 0, 0))
+        engine, keywords = advance_step(step)
+        result = run_batch_trajectories(
+            engine, 10, initial=State(0, 0, 0), **keywords
+        )
         assert (result.steps == 0).all()
         assert (result.time_safe == 0).all()
         assert (result.time_polluted == 0).all()
@@ -128,15 +152,35 @@ class TestBatchEngine:
         assert oracle.steps == 0
         assert oracle.absorbed_in == "safe-merge"
 
-    def test_budget_error_raised(self):
+    @pytest.mark.parametrize("step", ADVANCE_STEPS)
+    def test_budget_error_raised(self, step):
         params = ModelParameters(mu=0.0, d=0.0)
-        engine = make_engine(params)
+        engine, keywords = advance_step(step, params)
         with pytest.raises(SimulationBudgetError):
-            run_batch_trajectories(engine, 50, max_steps=2)
+            run_batch_trajectories(engine, 50, max_steps=2, **keywords)
+
+    @pytest.mark.parametrize("step", ADVANCE_STEPS)
+    def test_budget_beyond_int64_accepted(self, step):
+        engine, keywords = advance_step(step)
+        result = run_batch_trajectories(
+            engine, 20, max_steps=10**20, **keywords
+        )
+        assert (result.steps > 0).all()
 
     def test_runs_validated(self):
         with pytest.raises(ValueError):
             run_batch_trajectories(make_engine(), 0)
+
+    def test_schedule_validated(self):
+        engine, _ = advance_step("schedule")
+        with pytest.raises(ValueError, match="non-empty"):
+            run_batch_trajectories(
+                engine, 5, kind_schedule=np.zeros(0, dtype=bool)
+            )
+        with pytest.raises(ValueError, match="skip mode"):
+            run_batch_trajectories(
+                engine, 5, mode="skip", kind_schedule=SCHEDULE
+            )
 
 
 class TestBatchTrajectoryEquivalence:
@@ -384,11 +428,12 @@ class TestSkipMode:
         ]
         assert runs[0] == runs[1]
 
-    def test_budget_error_raised(self):
+    @pytest.mark.parametrize("step", ADVANCE_STEPS)
+    def test_budget_error_raised(self, step):
         params = ModelParameters(mu=0.0, d=0.0)
-        engine = BatchClusterEngine(params, np.random.default_rng(0))
+        engine, keywords = advance_step(step, params, seed=0)
         with pytest.raises(SimulationBudgetError):
-            run_batch_trajectories(engine, 50, max_steps=2, mode="skip")
+            run_batch_trajectories(engine, 50, max_steps=2, **keywords)
 
     def test_unknown_mode_rejected(self):
         engine = BatchClusterEngine(ATTACK, np.random.default_rng(0))
@@ -451,22 +496,58 @@ class TestChunkedSummary:
         assert runs[0] == runs[1]
 
     def test_accumulator_matches_direct_formulas(self):
-        engine = BatchClusterEngine(ATTACK, np.random.default_rng(12))
-        batch = run_batch_trajectories(engine, 4_000)
+        """One chunk reduces bit for bit as numpy's mean() and std()."""
+        for mode in ("event", "skip"):
+            engine = BatchClusterEngine(ATTACK, np.random.default_rng(12))
+            batch = run_batch_trajectories(engine, 4_000, mode=mode)
+            accumulator = TrajectorySummaryAccumulator()
+            accumulator.update(batch)
+            summary = accumulator.summary()
+            scale = np.sqrt(batch.runs - 1)
+            safe = batch.time_safe.astype(np.float64)
+            polluted = batch.time_polluted.astype(np.float64)
+            assert summary.runs == batch.runs
+            assert summary.mean_time_safe == safe.mean()
+            assert summary.mean_time_polluted == polluted.mean()
+            assert summary.sem_time_safe == safe.std() / scale
+            assert summary.sem_time_polluted == polluted.std() / scale
+            assert summary.p_safe_split == np.isin(
+                batch.absorbed_code, (CODE_SAFE_SPLIT, CODE_POLLUTED_SPLIT)
+            ).mean()
+
+    def test_chunks_merge_without_cancellation(self):
+        """Times near 1e8 with a spread of order 1: the centred moments
+        merge to the exact standard error, which ``E[x^2] - E[x]^2``
+        loses.  Safe times repeat one chunk; polluted times shift by one
+        per chunk, so the merge's between-chunk term counts too."""
+        parity = np.arange(1_000, dtype=np.int32) % 2
         accumulator = TrajectorySummaryAccumulator()
-        accumulator.update(batch)
+        for shift in range(4):
+            safe = 10**8 + parity
+            polluted = 10**8 + shift + parity
+            accumulator.update(
+                BatchTrajectories(
+                    runs=1_000,
+                    steps=safe + polluted,
+                    time_safe=safe,
+                    time_polluted=polluted,
+                    absorbed_code=np.full(
+                        1_000, CODE_SAFE_MERGE, dtype=np.int8
+                    ),
+                    first_safe_sojourn=safe,
+                    first_polluted_sojourn=polluted,
+                )
+            )
         summary = accumulator.summary()
-        direct = batch_monte_carlo_summary(
-            ATTACK, np.random.default_rng(12), runs=4_000
+        assert summary.mean_time_safe == 10**8 + 0.5
+        assert summary.mean_time_polluted == 10**8 + 2.0
+        # Safe variance 0.25; polluted values 1e8 + {0, ..., 4} with
+        # weights 1, 2, 2, 2, 1 have variance 1.5.
+        assert summary.sem_time_safe == 0.5 / np.sqrt(3_999)
+        assert summary.sem_time_polluted == pytest.approx(
+            np.sqrt(1.5 / 3_999), rel=1e-12
         )
-        assert summary.runs == direct.runs
-        assert summary.mean_time_safe == pytest.approx(
-            direct.mean_time_safe, rel=1e-12
-        )
-        assert summary.sem_time_safe == pytest.approx(
-            direct.sem_time_safe, rel=1e-9
-        )
-        assert summary.p_safe_split == direct.p_safe_split
+        assert summary.p_safe_merge == 1.0
 
     def test_memory_lean_dtypes(self):
         engine = BatchClusterEngine(ATTACK, np.random.default_rng(1))
