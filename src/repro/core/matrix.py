@@ -22,39 +22,49 @@ import numpy as np
 
 from repro.core.parameters import ModelParameters
 from repro.core.statespace import Category, State, StateSpace
-from repro.core.transitions import transition_distribution, transition_rows
+from repro.core.transitions import (
+    CODE_POLLUTED_SPLIT,
+    TransitionRows,
+    transition_rows,
+)
 from repro.markov.chain import MarkovChain
 
 
 class ClusterChain:
     """The cluster Markov chain ``X`` for one parameter set.
 
-    Builds the full matrix once; block views are cheap slices.  The
-    heavy analytical work (fundamental matrices, censored chains) lives
-    in :mod:`repro.core.absorption` and :mod:`repro.core.sojourn`.
+    Scatters the chain's row table into the full matrix once; block
+    views are cheap slices.  The heavy analytical work (fundamental
+    matrices, censored chains) lives in :mod:`repro.core.absorption`
+    and :mod:`repro.core.sojourn`.
     """
 
     def __init__(
-        self,
-        params: ModelParameters,
-        transition_fn=None,
-        include_polluted_split: bool = False,
+        self, params: ModelParameters, rows: TransitionRows | None = None
     ) -> None:
-        """Assemble the chain.
+        """Assemble the chain by scattering a row table into its matrix.
 
-        ``transition_fn(state, params) -> dict[State, float]`` overrides
-        the Figure-2 tree; protocol variants (``repro.core.variants``)
-        use it.  ``include_polluted_split`` adds the fourth closed class
-        reachable by variants that bypass Rule 2's split prevention.
+        ``rows`` is the one-step law of every model state of ``params``,
+        a :class:`~repro.core.transitions.TransitionRows` table; the
+        default is the paper's, ``transition_rows(params)``, which the
+        batch Monte-Carlo engine samples too.  Protocol and adversary
+        variants (:mod:`repro.core.variants`) pass their own table.  A
+        table holding the polluted-split class (reachable by variants
+        that bypass Rule 2's split prevention) adds it to the chain as
+        a fourth closed class.
         """
+        if rows is None:
+            rows = transition_rows(params)
+        elif rows.params != params:
+            raise ValueError("rows were derived for another parameter set")
+        include_polluted_split = bool(
+            (rows.category_codes == CODE_POLLUTED_SPLIT).any()
+        )
         self._params = params
         self._space = StateSpace(
             params, include_polluted_split=include_polluted_split
         )
-        self._transition_fn = (
-            transition_fn if transition_fn is not None else transition_distribution
-        )
-        self._matrix = self._build_matrix()
+        self._matrix = rows.dense_matrix()
         self._chain: MarkovChain | None = None
         counts = [
             len(self._space.safe),
@@ -89,34 +99,6 @@ class ClusterChain:
         if self._space.includes_polluted_split:
             closed.append(Category.POLLUTED_SPLIT)
         return closed
-
-    def _build_matrix(self) -> np.ndarray:
-        space = self._space
-        if (
-            self._transition_fn is transition_distribution
-            and not space.includes_polluted_split
-        ):
-            # The paper's exact chain: scatter the memoized row cache
-            # (shared with the batch Monte-Carlo engine) instead of
-            # re-deriving the Figure-2 tree state by state.
-            return transition_rows(self._params).dense_matrix()
-        size = space.model_size
-        matrix = np.zeros((size, size))
-        for state in space.transient:
-            row = space.index_of(state)
-            for target, probability in self._transition_fn(
-                state, self._params
-            ).items():
-                matrix[row, space.index_of(target)] += probability
-        closed_states = (
-            space.safe_merge + space.safe_split + space.polluted_merge
-        )
-        if space.includes_polluted_split:
-            closed_states += space.polluted_split
-        for state in closed_states:
-            index = space.index_of(state)
-            matrix[index, index] = 1.0
-        return matrix
 
     # -- accessors -----------------------------------------------------------
 

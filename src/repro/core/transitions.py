@@ -1,45 +1,69 @@
 """The transition tree of the cluster chain (paper Figure 2).
 
-:func:`transition_distribution` returns, for one transient state
-``(s, x, y)``, the full one-step law of the chain as a mapping
-``State -> probability``.  The code follows the paper's tree literally;
-each branch is annotated with the corresponding edge labels.
+One tree derives every one-step law of the chain from a transient state
+``(s, x, y)`` as a mapping ``State -> probability``.  It follows the
+paper's tree literally, with the four switches of a
+:class:`~repro.core.policies.CountAdversaryPolicy` left free, and
+mirrors the scalar member-list oracle
+(:class:`~repro.simulation.cluster_sim.ClusterSimulator`) branch for
+branch; the equivalence suite pits the two against each other for
+every registered policy.
 
-Branch structure (root probabilities ``p_j = p_l = 1/2``):
+* **join event**, joiner malicious w.p. ``p_m = mu``:
 
-* **join event** (``p_j``), joiner malicious w.p. ``p_m = mu``:
+  - safe cluster (``x <= c``), or no ``rule2``: the joiner enters the
+    spare set;
+  - polluted cluster (``x > c``) under ``rule2``: at ``s = Delta - 1``
+    every join is discarded (split prevention); below it malicious
+    joins are accepted, and honest joins are discarded when ``s > 1``
+    and accepted when ``s = 1`` (merge avoidance).
 
-  - safe cluster (``x <= c``): the join operation runs; the joiner
-    enters the spare set.
-  - polluted cluster (``x > c``), Rule 2:
-
-    * ``s = Delta - 1``: every join is discarded (split prevention);
-    * ``s < Delta - 1``: malicious joins accepted; honest joins are
-      discarded when ``s > 1`` and accepted when ``s = 1`` (merge
-      avoidance).
-
-* **leave event** (``p_l``), targeting the core w.p.
-  ``p_c = C / (C + s)``:
+* **leave event**, targeting the core w.p. ``p_c = C / (C + s)``:
 
   - spare member targeted (``1 - p_c``), malicious w.p. ``p_ms = y/s``:
-
-    * honest: leaves (natural churn);
-    * malicious: leaves only if Property 1 forces it
-      (w.p. ``1 - d**y``), otherwise the adversary keeps it in place.
-
+    an honest one leaves (natural churn); a malicious one leaves, under
+    ``suppress_leaves``, only if Property 1 forces it (w.p.
+    ``1 - d**y``), and otherwise like anyone;
   - core member targeted (``p_c``), malicious w.p. ``p_mc = x/C``:
 
-    * honest core member: leaves; if the cluster is polluted the
-      (colluding) quorum biases the replacement -- a malicious spare if
-      any, else an honest spare; if safe, the randomized maintenance
-      kernel ``tau(x, ., .)`` runs;
-    * malicious core member, identifiers surviving (w.p. ``d**x``): a
-      *voluntary* leave happens only when the cluster is safe, no merge
-      would result (``s > 1``) and Rule 1 fires, in which case
-      maintenance ``tau(x-1, ., .)`` runs; otherwise nothing changes;
-    * malicious core member forced out (w.p. ``1 - d**x``): if the
-      remainder still holds the quorum (``x - 1 > c``) the adversary
-      biases the replacement, else maintenance ``tau(x-1, ., .)`` runs.
+    * honest: leaves, and the core is repaired;
+    * malicious with surviving identifiers (w.p. ``d**x``, under
+      ``suppress_leaves``): a *voluntary* leave, followed by
+      maintenance ``tau(x-1, ., .)``, happens only when the cluster is
+      safe, no merge would result (``s > 1``) and ``rule1`` orders it
+      (``"gated"``: Relation (2) fires; ``"always"``: a malicious spare
+      exists; ``"never"``); otherwise nothing changes;
+    * malicious forced out (w.p. ``1 - d**x``, or always without
+      ``suppress_leaves``): leaves, and the core is repaired.
+
+    A repair leaving ``x'`` malicious core members (``x`` after an
+    honest departure, ``x - 1`` after a malicious one) is biased while
+    they hold the quorum (``x' > c``) under ``biased_replacement`` -- a
+    malicious spare is promoted if any, else an honest one -- and
+    otherwise runs the randomized maintenance kernel ``tau(x', ., .)``.
+
+Each sub-tree adds its branch products to a law at a total mass
+``weight``:
+
+* the paper's law (:func:`transition_distribution`) is the tree at
+  :data:`~repro.core.policies.STRONG_POLICY` with the event-kind
+  probabilities threaded through it: the join sub-tree at weight
+  ``p_join``, the leave sub-tree at ``p_leave``;
+* a policy's kind-conditional laws (:data:`KIND_JOIN`,
+  :data:`KIND_LEAVE`) are the two sub-trees at weight 1, so any churn
+  process reduces, event-indexed, to a mixture (i.i.d. streams) or a
+  schedule (session streams) of the same two row tables;
+* a policy's mixed law (:func:`policy_transition_distribution`)
+  combines the kind laws as ``p * join + (1 - p) * leave``.
+
+The two mixing rules round differently: at the strong switches they
+differ in the last bits for over a third of the transient states.
+Both stay, because the outputs of each are pinned: the paper's law
+feeds Tables I-II, Figures 3-5 and the paper's rows, the kind-law
+mixture every variant table, chain and batch trajectory.  An edit to
+the tree must keep the products of the paper's law and the order in
+which they reach their targets (``tests/golden/transition_laws.jsonl``
+pins both).
 
 Everything derived from one parameter set -- these laws, the sampled
 :class:`TransitionRows`, the batch engine's skip tables and the
@@ -118,8 +142,11 @@ def _transition_items(
 ) -> tuple[tuple[State, float], ...]:
     """Memoized transition law as a hashable tuple of items.
 
-    Without a ``policy`` this is the legacy Figure-2 law; with one, the
-    ``kind``-conditional law (join or leave, total mass 1) under it.
+    Without a ``policy`` this is the paper's law: the tree at
+    :data:`STRONG_POLICY` with ``p_join`` and ``p_leave`` threaded
+    through it.  With one, it is the ``kind``-conditional law (join or
+    leave, total mass 1) under ``policy``.
+
     Deriving the tree walks the maintenance kernel's hypergeometric
     double sum for every maintenance edge, which dominates
     chain-assembly time.  The derivation is shared by repeated chain
@@ -135,16 +162,12 @@ def _transition_items(
             )
         law: dict[State, float] = defaultdict(float)
         if policy is None:
-            _add_join_branch(law, state, params)
-            _add_leave_branch(law, state, params)
+            _add_join(law, state, params, STRONG_POLICY, params.p_join)
+            _add_leave(law, state, params, STRONG_POLICY, params.p_leave)
         elif kind == KIND_JOIN:
-            _policy_add_join(law, state, params, policy, weight=1.0)
+            _add_join(law, state, params, policy, 1.0)
         elif kind == KIND_LEAVE:
-            p_core = params.p_core(s)
-            _policy_add_spare_leave(
-                law, state, params, policy, weight=1.0 - p_core
-            )
-            _policy_add_core_leave(law, state, params, policy, weight=p_core)
+            _add_leave(law, state, params, policy, 1.0)
         else:
             raise ValueError(f"kind must be join/leave, got {kind!r}")
         return tuple((target, p) for target, p in law.items() if p > 0.0)
@@ -167,47 +190,54 @@ def transition_distribution(
     return dict(_transition_items(State(*state), params))
 
 
-def _add_join_branch(
-    law: dict[State, float], state: State, params: ModelParameters
+def _add_join(
+    law: dict[State, float],
+    state: State,
+    params: ModelParameters,
+    policy: CountAdversaryPolicy,
+    weight: float,
 ) -> None:
-    """Accumulate the join sub-tree (left half of Figure 2)."""
+    """Join sub-tree (left half of Figure 2), total mass ``weight``."""
     s, x, y = state
-    p_join = params.p_join
     p_malicious = params.mu
-    if not params.is_polluted(x):
-        # Safe cluster: the join operation always runs.
-        law[State(s + 1, x, y + 1)] += p_join * p_malicious
-        law[State(s + 1, x, y)] += p_join * (1.0 - p_malicious)
+    if params.is_polluted(x) and policy.rule2:
+        # Polluted cluster: Rule 2 filters join events.
+        if s == params.spare_max - 1:
+            # Split prevention: all joins (malicious included) discarded.
+            law[state] += weight
+            return
+        law[State(s + 1, x, y + 1)] += weight * p_malicious
+        if s > 1:
+            # Honest joiner acknowledged but silently dropped.
+            law[state] += weight * (1.0 - p_malicious)
+        else:
+            # s == 1: merge avoidance, the honest joiner is admitted.
+            law[State(s + 1, x, y)] += weight * (1.0 - p_malicious)
         return
-    # Polluted cluster: Rule 2 filters join events.
-    if s == params.spare_max - 1:
-        # Split prevention: all joins (malicious included) discarded.
-        law[state] += p_join
-        return
-    law[State(s + 1, x, y + 1)] += p_join * p_malicious
-    if s > 1:
-        # Honest joiner acknowledged but silently dropped.
-        law[state] += p_join * (1.0 - p_malicious)
-    else:
-        # s == 1: merge avoidance, the honest joiner is admitted.
-        law[State(s + 1, x, y)] += p_join * (1.0 - p_malicious)
+    # Safe cluster (or no filtering): the join operation always runs.
+    law[State(s + 1, x, y + 1)] += weight * p_malicious
+    law[State(s + 1, x, y)] += weight * (1.0 - p_malicious)
 
 
-def _add_leave_branch(
-    law: dict[State, float], state: State, params: ModelParameters
+def _add_leave(
+    law: dict[State, float],
+    state: State,
+    params: ModelParameters,
+    policy: CountAdversaryPolicy,
+    weight: float,
 ) -> None:
-    """Accumulate the leave sub-tree (right half of Figure 2)."""
-    s, x, y = state
-    p_leave = params.p_leave
+    """Leave sub-tree (right half of Figure 2), total mass ``weight``."""
+    s, _, _ = state
     p_core = params.p_core(s)
-    _add_spare_leave(law, state, params, weight=p_leave * (1.0 - p_core))
-    _add_core_leave(law, state, params, weight=p_leave * p_core)
+    _add_spare_leave(law, state, params, policy, weight * (1.0 - p_core))
+    _add_core_leave(law, state, params, policy, weight * p_core)
 
 
 def _add_spare_leave(
     law: dict[State, float],
     state: State,
     params: ModelParameters,
+    policy: CountAdversaryPolicy,
     weight: float,
 ) -> None:
     """Leave event targeting a spare member."""
@@ -220,17 +250,23 @@ def _add_spare_leave(
         # Honest spares leave with the natural churn.
         law[State(s - 1, x, y)] += honest_weight
     malicious_weight = weight * p_malicious_spare
-    if malicious_weight > 0.0:
-        survive = property1_survival(y, params)
+    if malicious_weight == 0.0:
+        return
+    if policy.suppress_leaves:
         # The adversary keeps its spares in place while ids are valid.
+        survive = property1_survival(y, params)
         law[state] += malicious_weight * survive
         law[State(s - 1, x, y - 1)] += malicious_weight * (1.0 - survive)
+    else:
+        # A protocol-following malicious spare churns like anyone.
+        law[State(s - 1, x, y - 1)] += malicious_weight
 
 
 def _add_core_leave(
     law: dict[State, float],
     state: State,
     params: ModelParameters,
+    policy: CountAdversaryPolicy,
     weight: float,
 ) -> None:
     """Leave event targeting a core member."""
@@ -238,91 +274,75 @@ def _add_core_leave(
         return
     s, x, y = state
     p_malicious_core = x / params.core_size
-    _add_honest_core_leave(
-        law, state, params, weight=weight * (1.0 - p_malicious_core)
-    )
-    _add_malicious_core_leave(
-        law, state, params, weight=weight * p_malicious_core
-    )
-
-
-def _add_honest_core_leave(
-    law: dict[State, float],
-    state: State,
-    params: ModelParameters,
-    weight: float,
-) -> None:
-    """An honest core member departs; the core view is repaired."""
-    if weight == 0.0:
+    honest_weight = weight * (1.0 - p_malicious_core)
+    if honest_weight > 0.0:
+        # An honest core member departs; the core view is repaired.
+        _add_departed_core(law, state, params, policy, x, honest_weight)
+    malicious_weight = weight * p_malicious_core
+    if malicious_weight == 0.0:
         return
-    s, x, y = state
-    if params.is_polluted(x):
-        # The malicious quorum biases the replacement.
-        if y > 0:
-            law[State(s - 1, x + 1, y - 1)] += weight
-        else:
-            law[State(s - 1, x, y)] += weight
-        return
-    _add_maintenance(law, state, params, malicious_core_after=x, weight=weight)
-
-
-def _add_malicious_core_leave(
-    law: dict[State, float],
-    state: State,
-    params: ModelParameters,
-    weight: float,
-) -> None:
-    """A malicious core member is targeted by the leave event."""
-    if weight == 0.0:
-        return
-    s, x, y = state
-    survive = property1_survival(x, params)
-    no_expiry_weight = weight * survive
-    if no_expiry_weight > 0.0:
-        _add_voluntary_core_leave(law, state, params, weight=no_expiry_weight)
-    forced_weight = weight * (1.0 - survive)
+    if policy.suppress_leaves:
+        survive = property1_survival(x, params)
+        stay_weight = malicious_weight * survive
+        if stay_weight > 0.0:
+            _add_voluntary(law, state, params, policy, stay_weight)
+        forced_weight = malicious_weight * (1.0 - survive)
+    else:
+        forced_weight = malicious_weight
     if forced_weight > 0.0:
-        _add_forced_core_leave(law, state, params, weight=forced_weight)
+        # Property 1 (or the protocol) forces a malicious member out.
+        _add_departed_core(law, state, params, policy, x - 1, forced_weight)
 
 
-def _add_voluntary_core_leave(
+def _add_voluntary(
     law: dict[State, float],
     state: State,
     params: ModelParameters,
+    policy: CountAdversaryPolicy,
     weight: float,
 ) -> None:
     """No identifier expired: the adversary leaves only under Rule 1."""
     s, x, y = state
     if params.is_polluted(x):
         # Never give up a won quorum.
-        law[state] += weight
-        return
-    if s > 1 and rule1_triggers(state, params):
-        _add_maintenance(
-            law, state, params, malicious_core_after=x - 1, weight=weight
-        )
+        leaves = False
+    elif s <= 1 or policy.rule1 == "never":
+        # A leave at s = 1 would merge the cluster.
+        leaves = False
+    elif policy.rule1 == "gated":
+        leaves = rule1_triggers(state, params)
+    else:
+        # "always" still needs a malicious spare to promote.
+        leaves = y > 0
+    if leaves:
+        _add_maintenance(law, state, params, x - 1, weight)
     else:
         law[state] += weight
 
 
-def _add_forced_core_leave(
+def _add_departed_core(
     law: dict[State, float],
     state: State,
     params: ModelParameters,
+    policy: CountAdversaryPolicy,
+    malicious_core_after: int,
     weight: float,
 ) -> None:
-    """Property 1 forces a malicious core member out."""
-    s, x, y = state
-    if x - 1 > params.pollution_quorum:
-        # Quorum retained: the adversary biases the replacement.
+    """Repair after a core departure that leaves ``malicious_core_after``
+    malicious members among the other ``C - 1``."""
+    s, _, y = state
+    if (
+        malicious_core_after > params.pollution_quorum
+        and policy.biased_replacement
+    ):
+        # Quorum retained: the adversary biases the replacement, a
+        # malicious spare if any, else an honest one.
         if y > 0:
-            law[State(s - 1, x, y - 1)] += weight
+            law[State(s - 1, malicious_core_after + 1, y - 1)] += weight
         else:
-            law[State(s - 1, x - 1, y)] += weight
+            law[State(s - 1, malicious_core_after, y)] += weight
         return
-    _add_maintenance(
-        law, state, params, malicious_core_after=x - 1, weight=weight
-    )
+    _add_maintenance(law, state, params, malicious_core_after, weight)
 
 
 def _add_maintenance(
@@ -351,163 +371,6 @@ def _add_maintenance(
         law[target] += weight * probability
 
 
-# -- policy-conditional laws (variant-aware rows) ---------------------------
-#
-# The derivation below re-reads the Figure-2 tree with the four
-# :class:`~repro.core.policies.CountAdversaryPolicy` switches left free,
-# branch for branch mirroring the scalar member-list oracle
-# (:class:`~repro.simulation.cluster_sim.ClusterSimulator`): any
-# divergence between the two is a bug, and the equivalence suite pits
-# them against each other for every registered policy.  The laws are
-# additionally split by *event kind* -- the conditional one-step law
-# given the event is a join, and given it is a leave -- so any churn
-# process reduces, event-indexed, to a mixture (i.i.d. streams) or a
-# schedule (session streams) over the same two row tables.
-
-def _policy_add_join(
-    law: dict[State, float],
-    state: State,
-    params: ModelParameters,
-    policy: CountAdversaryPolicy,
-    weight: float,
-) -> None:
-    """Join sub-tree under ``policy`` (total mass ``weight``)."""
-    s, x, y = state
-    p_malicious = params.mu
-    if params.is_polluted(x) and policy.rule2:
-        # Rule 2 filtering by the colluding quorum.
-        if s == params.spare_max - 1:
-            law[state] += weight
-            return
-        law[State(s + 1, x, y + 1)] += weight * p_malicious
-        if s > 1:
-            law[state] += weight * (1.0 - p_malicious)
-        else:
-            law[State(s + 1, x, y)] += weight * (1.0 - p_malicious)
-        return
-    # No filtering: the join operation always runs.
-    law[State(s + 1, x, y + 1)] += weight * p_malicious
-    law[State(s + 1, x, y)] += weight * (1.0 - p_malicious)
-
-
-def _policy_add_spare_leave(
-    law: dict[State, float],
-    state: State,
-    params: ModelParameters,
-    policy: CountAdversaryPolicy,
-    weight: float,
-) -> None:
-    """Leave event targeting a spare member, under ``policy``."""
-    if weight == 0.0:
-        return
-    s, x, y = state
-    p_malicious_spare = y / s
-    honest_weight = weight * (1.0 - p_malicious_spare)
-    if honest_weight > 0.0:
-        law[State(s - 1, x, y)] += honest_weight
-    malicious_weight = weight * p_malicious_spare
-    if malicious_weight == 0.0:
-        return
-    if policy.suppress_leaves:
-        survive = property1_survival(y, params)
-        law[state] += malicious_weight * survive
-        law[State(s - 1, x, y - 1)] += malicious_weight * (1.0 - survive)
-    else:
-        # A protocol-following malicious spare churns like anyone.
-        law[State(s - 1, x, y - 1)] += malicious_weight
-
-
-def _policy_add_departed_core(
-    law: dict[State, float],
-    state: State,
-    params: ModelParameters,
-    policy: CountAdversaryPolicy,
-    malicious_core_after: int,
-    weight: float,
-) -> None:
-    """Repair after a core departure: biased promotion while the quorum
-    holds (if the policy plays it), randomized maintenance otherwise."""
-    s, _, y = state
-    if (
-        malicious_core_after > params.pollution_quorum
-        and policy.biased_replacement
-    ):
-        if y > 0:
-            law[State(s - 1, malicious_core_after + 1, y - 1)] += weight
-        else:
-            law[State(s - 1, malicious_core_after, y)] += weight
-        return
-    _add_maintenance(
-        law,
-        state,
-        params,
-        malicious_core_after=malicious_core_after,
-        weight=weight,
-    )
-
-
-def _policy_add_core_leave(
-    law: dict[State, float],
-    state: State,
-    params: ModelParameters,
-    policy: CountAdversaryPolicy,
-    weight: float,
-) -> None:
-    """Leave event targeting a core member, under ``policy``."""
-    if weight == 0.0:
-        return
-    s, x, y = state
-    p_malicious_core = x / params.core_size
-    honest_weight = weight * (1.0 - p_malicious_core)
-    if honest_weight > 0.0:
-        # Honest core member departs with the natural churn.
-        _policy_add_departed_core(
-            law, state, params, policy,
-            malicious_core_after=x, weight=honest_weight,
-        )
-    malicious_weight = weight * p_malicious_core
-    if malicious_weight == 0.0:
-        return
-    if policy.suppress_leaves:
-        survive = property1_survival(x, params)
-        stay_weight = malicious_weight * survive
-        if stay_weight > 0.0:
-            _policy_add_voluntary(law, state, params, policy, stay_weight)
-        forced_weight = malicious_weight * (1.0 - survive)
-    else:
-        forced_weight = malicious_weight
-    if forced_weight > 0.0:
-        _policy_add_departed_core(
-            law, state, params, policy,
-            malicious_core_after=x - 1, weight=forced_weight,
-        )
-
-
-def _policy_add_voluntary(
-    law: dict[State, float],
-    state: State,
-    params: ModelParameters,
-    policy: CountAdversaryPolicy,
-    weight: float,
-) -> None:
-    """Identifiers valid: only a Rule 1 voluntary leave applies."""
-    s, x, y = state
-    if params.is_polluted(x) or s <= 1 or policy.rule1 == "never":
-        law[state] += weight
-        return
-    if policy.rule1 == "gated":
-        if not rule1_triggers(state, params):
-            law[state] += weight
-            return
-    elif y == 0:
-        # "always" still needs a malicious spare to promote.
-        law[state] += weight
-        return
-    _add_maintenance(
-        law, state, params, malicious_core_after=x - 1, weight=weight
-    )
-
-
 def policy_transition_distribution(
     state: State,
     params: ModelParameters,
@@ -520,10 +383,11 @@ def policy_transition_distribution(
     ``kind`` selects the conditional law given the event kind
     (:data:`KIND_JOIN` / :data:`KIND_LEAVE`) or the :data:`KIND_MIXED`
     unconditional law, in which case the event is a join with
-    probability ``p_join`` (default ``params.p_join``).  For the strong
+    probability ``p_join`` (default ``params.p_join``) and the two kind
+    laws are combined as ``p * join + (1 - p) * leave``.  For the strong
     policy at the default mix this agrees with
-    :func:`transition_distribution` (the legacy derivation stays the
-    byte-exact reference; equality of the two is covered by tests).
+    :func:`transition_distribution` up to rounding (see the module
+    docstring for why the two mixing rules are both kept).
     """
     state = State(*state)
     if policy is None:
@@ -661,7 +525,7 @@ class TransitionRows(SamplingTable):
     category_codes: np.ndarray
     state_index: np.ndarray
     #: Count-level policy the rows were derived for (``None`` = the
-    #: legacy strong-adversary derivation, the byte-exact reference).
+    #: paper's chain, :func:`transition_distribution`).
     policy: CountAdversaryPolicy | None = None
     #: Event-kind conditioning: ``"mixed"``, ``"join"`` or ``"leave"``.
     kind: str = KIND_MIXED
@@ -700,18 +564,19 @@ def _assemble_rows(
     params: ModelParameters,
     items_fn,
     *,
+    include_polluted_split: bool,
     policy: CountAdversaryPolicy | None,
-    kind: str,
-    p_join_mix: float | None,
+    kind: str = KIND_MIXED,
+    p_join_mix: float | None = None,
 ) -> TransitionRows:
     """Pad one-step laws of every model state into dense sampled rows.
 
     ``items_fn(state) -> iterable[(State, prob)]`` supplies the law of
     each transient state; closed states carry probability-one self
-    loops.  The legacy rows (no ``policy``) cover the paper's matrix
-    states, every policy/kind variant the polluted-split class too.
+    loops.  The rows cover the paper's matrix states, and the
+    polluted-split class too when ``include_polluted_split``.
     """
-    space = StateSpace(params, include_polluted_split=policy is not None)
+    space = StateSpace(params, include_polluted_split=include_polluted_split)
     states = space.model_states
     n_transient = len(space.transient)
     per_row: list[list[tuple[int, float]]] = []
@@ -756,8 +621,9 @@ def transition_rows(
 ) -> TransitionRows:
     """Memoized :class:`TransitionRows` for one parameter set.
 
-    With the default arguments this is the paper's exact chain, built
-    through the legacy (byte-exact) derivation; chain assembly
+    With the default arguments this is the paper's chain: the rows of
+    :func:`transition_distribution`, the tree at the strong switches
+    with ``p_join``/``p_leave`` threaded through it.  Chain assembly
     (:class:`~repro.core.matrix.ClusterChain`) scatters the rows into
     its dense matrix and the batch Monte-Carlo engine samples them
     directly, so the Figure-2 tree is derived once per parameter point
@@ -771,9 +637,10 @@ def transition_rows(
     enumerated over the full space including the polluted-split closed
     class (policies that drop Rule 2 can reach it), so their state
     indexing is a superset of -- but not interchangeable with -- the
-    legacy rows; each variant is memoized under its own key.
+    paper's rows; each variant is memoized under its own key.
     """
-    if policy is None and kind == KIND_MIXED and p_join is None:
+    paper = policy is None and kind == KIND_MIXED and p_join is None
+    if paper:
         def law(state):
             return _transition_items(state, params)
     else:
@@ -788,6 +655,11 @@ def transition_rows(
         params,
         ("rows", policy, kind, p_join),
         lambda: _assemble_rows(
-            params, law, policy=policy, kind=kind, p_join_mix=p_join
+            params,
+            law,
+            include_polluted_split=not paper,
+            policy=policy,
+            kind=kind,
+            p_join_mix=p_join,
         ),
     )

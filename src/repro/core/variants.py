@@ -16,8 +16,8 @@ alternative as an analyzable baseline:
 Under DIRECT_CORE the adversary keeps Rule 2's honest-join filtering
 but stops preventing splits: a polluted cluster that splits now *keeps*
 its captured cores with positive probability, so polluted split states
-become a reachable fourth closed class (handled by
-``ClusterChain(include_polluted_split=True)``).
+become a reachable fourth closed class (the rows that
+:func:`build_variant_chain` scatters include it).
 
 The ablation benchmark shows DIRECT_CORE collapses the time-to-pollution
 and hands the adversary the identifier space the paper's join denies it.
@@ -40,9 +40,10 @@ from repro.core.parameters import ModelParameters
 from repro.core.policies import STRONG_POLICY, CountAdversaryPolicy
 from repro.core.statespace import State, StateSpaceError
 from repro.core.transitions import (
-    _add_leave_branch,
-    policy_transition_distribution,
+    _add_leave,
+    _assemble_rows,
     transition_distribution,
+    transition_rows,
 )
 
 
@@ -72,7 +73,7 @@ def variant_transition_distribution(
         )
     law: dict[State, float] = defaultdict(float)
     _add_direct_core_join(law, state, params)
-    _add_leave_branch(law, state, params)
+    _add_leave(law, state, params, STRONG_POLICY, params.p_leave)
     return {target: p for target, p in law.items() if p > 0.0}
 
 
@@ -129,22 +130,20 @@ def build_policy_chain(
 ) -> ClusterChain:
     """Assemble the chain played by a count-level adversary policy.
 
-    The closed-form twin of the variant transition rows: the same
-    :func:`~repro.core.transitions.policy_transition_distribution`
-    derivation scattered into a dense matrix, so expected times and
-    absorption probabilities of *any* registered adversary are
-    available analytically (the batch-vs-scalar equivalence suite uses
-    them as a third, noise-free referee).  The polluted-split closed
-    class is always included -- policies without Rule 2 can reach it.
+    The closed-form twin of the batch tier: the table a batch scenario
+    samples at that point -- the paper's rows for the strong policy at
+    the default mix, ``transition_rows(params, policy=policy,
+    p_join=p_join)`` otherwise -- scattered into a dense matrix, so
+    expected times and absorption probabilities of *any* registered
+    adversary are available analytically (the batch-vs-scalar
+    equivalence suite uses them as a third, noise-free referee).  Away
+    from the paper's point the polluted-split closed class is included
+    -- policies without Rule 2 can reach it.
     """
     if policy is STRONG_POLICY and p_join is None:
         return ClusterChain(params)
     return ClusterChain(
-        params,
-        transition_fn=lambda state, p: policy_transition_distribution(
-            state, p, policy, p_join=p_join
-        ),
-        include_polluted_split=True,
+        params, transition_rows(params, policy=policy, p_join=p_join)
     )
 
 
@@ -153,15 +152,18 @@ def build_variant_chain(
 ) -> ClusterChain:
     """Assemble the chain for a join policy.
 
-    SPARE_FIRST returns the paper's exact chain; DIRECT_CORE enables the
-    polluted-split closed class it can reach.
+    SPARE_FIRST returns the paper's exact chain; DIRECT_CORE scatters a
+    table of its own law (built for the chain alone, not memoized) over
+    the space with the polluted-split closed class it can reach.
     """
     if policy is JoinPolicy.SPARE_FIRST:
         return ClusterChain(params)
-    return ClusterChain(
+    rows = _assemble_rows(
         params,
-        transition_fn=lambda state, p: variant_transition_distribution(
-            state, p, policy
-        ),
+        lambda state: variant_transition_distribution(
+            state, params, policy
+        ).items(),
         include_polluted_split=True,
+        policy=STRONG_POLICY,
     )
+    return ClusterChain(params, rows)

@@ -535,35 +535,31 @@ class CompetingBackend:
                 f"engine {self.name!r} has no event-axis dispatch; "
                 "event_batching applies to 'competing-batch' only"
             )
-        default_point = (
+        if (
             spec.adversary == "strong"
             and law.p_join == spec.params.p_join
             and not event_batching
-        )
+        ):
+            # The historical path, byte-identical for a given seed.
+            variant = {}
+        else:
+            variant = {
+                "adversary": policy,
+                "p_join": law.p_join,
+                "event_batching": event_batching,
+            }
         safe_total: np.ndarray | None = None
         polluted_total: np.ndarray | None = None
         events: np.ndarray | None = None
         for replication in range(spec.replications):
-            if default_point:
-                # The historical path, byte-identical for a given seed.
-                simulation = CompetingClustersSimulation(
-                    spec.params,
-                    spec.n,
-                    _spec_rng(spec, replication),
-                    initial=spec.initial,
-                    engine=self._engine,
-                )
-            else:
-                simulation = CompetingClustersSimulation(
-                    spec.params,
-                    spec.n,
-                    _spec_rng(spec, replication),
-                    initial=spec.initial,
-                    engine=self._engine,
-                    adversary=policy,
-                    p_join=law.p_join,
-                    event_batching=event_batching,
-                )
+            simulation = CompetingClustersSimulation(
+                spec.params,
+                spec.n,
+                _spec_rng(spec, replication),
+                initial=spec.initial,
+                engine=self._engine,
+                **variant,
+            )
             series = simulation.run(
                 spec.events, record_every=spec.record_every
             )

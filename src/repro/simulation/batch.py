@@ -93,7 +93,6 @@ from repro.simulation.cluster_sim import (
     SAFE_SPLIT,
     MonteCarloSummary,
     SimulationBudgetError,
-    sample_initial_state,
 )
 
 #: Category codes counted under each absorption label.  The member-list
@@ -190,10 +189,10 @@ class BatchClusterEngine:
     probability of the mixed law (i.i.d.-kind churn reduces to this),
     and ``with_kind_rows`` additionally assembles the join- and
     leave-conditional tables needed by scheduled-kind stepping.  With
-    all three at their defaults the engine uses the legacy rows and is
-    draw-for-draw identical to the PR 1 engine; any variant switches to
-    the policy rows of :func:`~repro.core.transitions.transition_rows`,
-    which enumerate the polluted-split closed class as well.
+    all three at their defaults the engine samples the paper's rows;
+    any variant switches to the policy rows of
+    :func:`~repro.core.transitions.transition_rows`, which enumerate
+    the polluted-split closed class as well.
     """
 
     def __init__(
@@ -211,12 +210,9 @@ class BatchClusterEngine:
         )
         with _phase("row-assembly"):
             if variant:
-                self._policy = resolve_count_policy(policy)
-                rows = transition_rows(
-                    params, policy=self._policy, p_join=p_join
-                )
+                policy = resolve_count_policy(policy)
+                rows = transition_rows(params, policy=policy, p_join=p_join)
             else:
-                self._policy = None
                 rows = transition_rows(params)
             self._rows = rows
             codes = rows.category_codes
@@ -226,9 +222,7 @@ class BatchClusterEngine:
             self._kind_rows: dict[str, TransitionRows] | None = None
             if with_kind_rows:
                 self._kind_rows = {
-                    kind: transition_rows(
-                        params, policy=self._policy, kind=kind
-                    )
+                    kind: transition_rows(params, policy=policy, kind=kind)
                     for kind in (KIND_JOIN, KIND_LEAVE)
                 }
 
@@ -243,11 +237,6 @@ class BatchClusterEngine:
     def rows(self) -> TransitionRows:
         """The shared precomputed transition rows."""
         return self._rows
-
-    @property
-    def policy(self) -> CountAdversaryPolicy | None:
-        """The variant policy (``None`` = legacy strong rows)."""
-        return self._policy
 
     def is_transient(self, indices: np.ndarray) -> np.ndarray:
         """Boolean mask: which of ``indices`` are transient states."""

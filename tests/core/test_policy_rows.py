@@ -2,9 +2,10 @@
 
 Three layers of cross-checks pin the variant-aware rows:
 
-* algebraic -- the strong policy's mixed law must equal the legacy
-  Figure-2 derivation exactly, and every kind-conditional pair must mix
-  back into the unconditional law;
+* algebraic -- the strong policy's mixed law must equal the paper's
+  law (the same tree with ``p_join``/``p_leave`` threaded through it)
+  up to rounding, and every kind-conditional pair must mix back into
+  the unconditional law;
 * stochastic -- the policy laws must be probability distributions over
   the model space for every registered policy and kind;
 * operational -- one-event empirical frequencies of the scalar
@@ -25,7 +26,7 @@ from repro.core.policies import (
     STRONG_POLICY,
     resolve_count_policy,
 )
-from repro.core.statespace import State, StateSpace
+from repro.core.statespace import Category, State, StateSpace
 from repro.core.transitions import (
     CODE_POLLUTED_SPLIT,
     KIND_JOIN,
@@ -44,6 +45,10 @@ POLICIES = (STRONG_POLICY, PASSIVE_POLICY, GREEDY_LEAVE_POLICY)
 
 class TestPolicyLawAlgebra:
     def test_strong_mixed_law_equals_legacy(self):
+        """The paper's law, the tree at the strong switches with the
+        event-kind weights threaded through it, equals the strong
+        policy's kind laws mixed as ``p * join + (1 - p) * leave``, up
+        to rounding."""
         space = StateSpace(ATTACK, include_polluted_split=True)
         for state in space.transient:
             legacy = transition_distribution(state, ATTACK)
@@ -96,6 +101,22 @@ class TestPolicyLawAlgebra:
                 assert probability == pytest.approx(
                     recombined[target], abs=1e-12
                 )
+
+    @pytest.mark.parametrize(
+        "policy", (STRONG_POLICY, GREEDY_LEAVE_POLICY), ids=lambda p: p.name
+    )
+    def test_no_voluntary_leave_at_one_spare(self, policy):
+        """At ``s = 1`` a voluntary core leave would merge the cluster,
+        so the adversary never orders one: with identifiers that never
+        expire, only the honest core departures leave the state."""
+        params = ATTACK.with_overrides(d=1.0)
+        state = State(1, 1, 1)
+        law = policy_transition_distribution(
+            state, params, policy, kind=KIND_LEAVE
+        )
+        p_core = params.p_core(1)
+        expected = (1.0 - p_core) + p_core / params.core_size
+        assert law[state] == pytest.approx(expected, abs=1e-12)
 
     def test_closed_state_rejected(self):
         from repro.core.statespace import StateSpaceError
@@ -162,6 +183,45 @@ class TestPolicyChains:
         chain = build_policy_chain(ATTACK, STRONG_POLICY)
         reference = ClusterChain(ATTACK)
         assert np.array_equal(chain.matrix, reference.matrix)
+
+    @pytest.mark.parametrize("p_join", (None, 0.45))
+    @pytest.mark.parametrize("name", sorted(COUNT_POLICIES))
+    def test_policy_chain_scatters_the_sampled_table(self, name, p_join):
+        """The analytic chain of a policy is the table the batch tier
+        samples, scattered: the paper's rows at the paper's point, the
+        policy's memoized rows everywhere else."""
+        policy = COUNT_POLICIES[name]
+        if policy is STRONG_POLICY and p_join is None:
+            rows = transition_rows(ATTACK)
+        else:
+            rows = transition_rows(ATTACK, policy=policy, p_join=p_join)
+        chain = build_policy_chain(ATTACK, policy, p_join=p_join)
+        assert chain.matrix.tobytes() == rows.dense_matrix().tobytes()
+
+    @pytest.mark.parametrize(
+        "options",
+        (
+            {},
+            {"policy": STRONG_POLICY},
+            {"policy": PASSIVE_POLICY, "p_join": 0.45},
+            {"policy": GREEDY_LEAVE_POLICY, "kind": KIND_LEAVE},
+        ),
+        ids=("paper", "strong", "passive-0.45", "greedy-leave-leave"),
+    )
+    def test_chain_scatters_its_table(self, options):
+        rows = transition_rows(ATTACK, **options)
+        chain = ClusterChain(ATTACK, rows)
+        assert chain.matrix.tobytes() == rows.dense_matrix().tobytes()
+        has_polluted_split = CODE_POLLUTED_SPLIT in rows.category_codes
+        assert (
+            Category.POLLUTED_SPLIT in chain.closed_categories
+        ) == has_polluted_split
+        assert has_polluted_split == bool(options)
+
+    def test_chain_rejects_another_sets_table(self):
+        other = ATTACK.with_overrides(mu=0.1)
+        with pytest.raises(ValueError, match="another parameter set"):
+            ClusterChain(ATTACK, transition_rows(other))
 
     @pytest.mark.parametrize(
         "policy", (PASSIVE_POLICY, GREEDY_LEAVE_POLICY), ids=lambda p: p.name
